@@ -2,9 +2,11 @@
 
 The loss is differentiated by hand through the full graph: logistic head,
 design matrix, and the relaxed summary definitions (soft windows and soft
-threshold indicators).  Each summary contributes a closed-form
-``dH/dw_t`` term; the window-parameter chain rule then uses
-``dw_t/dC = w_t (1 - w_t) / tau``.
+threshold indicators).  Summary ``i`` of variable ``d`` depends on the one
+window length ``C[d, i]`` (and the threshold fractions on one threshold),
+so the summary layer needs only ``dH[n, d, i]/dC[d, i]`` and ``dH/dphi``,
+which the summary kernel computes from the same weighted time sums taken
+against ``dw/dC = w (1 - w) / tau``; ``dL/dC = sum_n dL/dH * dH/dC``.
 
 The epsilon guards inside the weighted means leave tiny residuals
 (sum of v * deviation = mean * eps instead of zero); their derivative
@@ -27,13 +29,13 @@ from .model import (
     weighted_bce_from_logits,
 )
 from .summaries import (
-    EPS,
     FRAC_ABOVE,
     FRAC_BELOW,
     N_SUMMARIES,
     compute_summary_tensor,
-    compute_weights,
     sigmoid,
+    summary_blocks,
+    window_weights,
 )
 
 
@@ -52,144 +54,19 @@ class GradientSet:
     d_phi_minus: np.ndarray  # (D,)
 
 
-def _summary_weight_grads(X, M, w, params, i):
-    """dH[:, :, i]/dw_t for summary i, shape (N, D, T); None if no path.
-
-    w is the (D, T) weight slice for summary i (relaxed weights).
-    Also returns dH/dphi (N, D) for the threshold summaries, else None.
-    """
-    from . import summaries as sm
-
-    tau = params.tau_temp
-    t_ax = np.arange(1, X.shape[-1] + 1, dtype=float)
-
-    if i == sm.MEAN:
-        v = w * M
-        B = v.sum(-1) + EPS
-        h = (v * X).sum(-1) / B
-        return M * (X - h[..., None]) / B[..., None], None
-
-    if i == sm.VARIANCE:
-        v = w * M
-        s1 = v.sum(-1)
-        s2 = (v * v).sum(-1)
-        B = s1 + EPS
-        xbar = (v * X).sum(-1) / B
-        dev = X - xbar[..., None]
-        q = (v * dev**2).sum(-1)
-        r = (v * dev).sum(-1)  # = xbar * eps, kept exactly
-        den = s1 * s1 - s2 + EPS
-        V = q * s1 / den
-        dq = dev**2 - (2.0 * r / B)[..., None] * dev
-        dVdv = (dq * s1[..., None] + q[..., None]) / den[..., None] - (
-            2.0 * V / den
-        )[..., None] * (s1[..., None] - v)
-        return M * dVdv, None
-
-    if i == sm.EVER_MEASURED:
-        A = (w * M).sum(-1)
-        B = tau * w.sum(-1) + EPS  # (D,)
-        a = A / B
-        h = sigmoid(a)
-        return (h * (1 - h))[..., None] * (M - (a * tau)[..., None]) / B[:, None], None
-
-    if i == sm.INDICATOR_MEAN:
-        B = w.sum(-1) + EPS  # (D,)
-        h = (w * M).sum(-1) / B
-        return (M - h[..., None]) / B[:, None], None
-
-    if i == sm.INDICATOR_VARIANCE:
-        s1 = w.sum(-1)  # (D,)
-        s2 = (w * w).sum(-1)
-        B = s1 + EPS
-        mbar = (w * M).sum(-1) / B
-        dev = M - mbar[..., None]
-        q = (w * dev**2).sum(-1)
-        r = (w * dev).sum(-1)
-        den = s1 * s1 - s2 + EPS
-        V = q * s1 / den
-        dq = dev**2 - (2.0 * r / B[None, :])[..., None] * dev
-        dVdv = (dq * s1[None, :, None] + q[..., None]) / den[None, :, None] - (
-            2.0 * V / den
-        )[..., None] * (s1[None, :, None] - w[None])
-        return dVdv, None
-
-    if i == sm.SWITCH_COUNT:
-        B = w.sum(-1) + EPS  # (D,)
-        switches = np.abs(np.diff(M, axis=-1))
-        padded = np.concatenate([switches, np.zeros(M.shape[:-1] + (1,))], axis=-1)
-        h = (w[..., :-1] * switches).sum(-1) / B
-        return (padded - h[..., None]) / B[:, None], None
-
-    if i == sm.FRAC_ABOVE:
-        v = w * M
-        soft = sigmoid((X - params.phi_plus[None, :, None]) / tau)
-        B = v.sum(-1) + EPS
-        h = (v * soft).sum(-1) / B
-        d_w = M * (soft - h[..., None]) / B[..., None]
-        d_phi = -(v * soft * (1 - soft)).sum(-1) / (tau * B)
-        return d_w, d_phi
-
-    if i == sm.FRAC_BELOW:
-        v = w * M
-        soft = sigmoid((params.phi_minus[None, :, None] - X) / tau)
-        B = v.sum(-1) + EPS
-        h = (v * soft).sum(-1) / B
-        d_w = M * (soft - h[..., None]) / B[..., None]
-        d_phi = (v * soft * (1 - soft)).sum(-1) / (tau * B)
-        return d_w, d_phi
-
-    if i == sm.SLOPE:
-        v = w * M
-        s = v.sum(-1) + EPS
-        tbar = (v * t_ax).sum(-1) / s
-        xbar = (v * X).sum(-1) / s
-        a = t_ax - tbar[..., None]
-        b = X - xbar[..., None]
-        r_t = (v * a).sum(-1)  # eps-scale residuals, kept exactly
-        r_x = (v * b).sum(-1)
-        den = (v * a * a).sum(-1) + EPS
-        h = (v * a * b).sum(-1) / den
-        dnum = a * b - (a * r_x[..., None] + b * r_t[..., None]) / s[..., None]
-        dden = a * a - 2.0 * a * r_t[..., None] / s[..., None]
-        return M * (dnum - h[..., None] * dden) / den[..., None], None
-
-    if i == sm.SLOPE_STDERR:
-        v = w * M
-        s = v.sum(-1) + EPS
-        tbar = (v * t_ax).sum(-1) / s
-        a = t_ax - tbar[..., None]
-        r_t = (v * a).sum(-1)
-        den = (v * a * a).sum(-1) + EPS
-        dden = a * a - 2.0 * a * r_t[..., None] / s[..., None]
-        return M * (-dden) / (den**2)[..., None], None
-
-    # first/last measured: constants of the mask
-    return None, None
-
-
 def backprop_summaries(X, M, params, G):
-    """Accumulate (d_C, d_phi_plus, d_phi_minus) from dL/dH = G (N, D, I)."""
-    N, D, T = X.shape
-    W = compute_weights(params.C, T, params.tau_temp)  # (T, I, D)
+    """Accumulate (d_C, d_phi_plus, d_phi_minus) from dL/dH = G (N, D, I):
+    the summary kernel's dH/dC and dH/dphi, block by block, against G."""
+    W = window_weights(params, X.shape[-1], "relaxed")
     d_C = np.zeros_like(params.C)
-    d_phi_plus = np.zeros(D)
-    d_phi_minus = np.zeros(D)
-    for i in range(N_SUMMARIES):
-        w = W[:, i, :].T  # (D, T)
-        dHdw, dHdphi = _summary_weight_grads(X, M, w, params, i)
-        if dHdw is not None:
-            # P[d, t] = sum_n G[n, d, i] * dH/dw_t
-            P = np.einsum("nd,ndt->dt", G[:, :, i], np.broadcast_to(dHdw, (N, D, T)))
-            wdot = w * (1 - w) / params.tau_temp
-            d_C[:, i] = (P * wdot).sum(-1)
-        if dHdphi is not None:
-            contrib = (G[:, :, i] * dHdphi).sum(0)
-            if i == FRAC_ABOVE:
-                d_phi_plus += contrib
-            else:
-                d_phi_minus += contrib
-    return d_C, d_phi_plus, d_phi_minus
+    d_phi = np.zeros((2, X.shape[1]))
+    for rows, _, dH_dC, dH_dphi in summary_blocks(
+        X, M, W, params.phi_plus, params.phi_minus, params.tau_temp, tangent=True,
+    ):
+        g = G[rows]
+        d_C += (g * dH_dC).sum(0)
+        d_phi += (g[:, :, [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) * dH_dphi).sum(1)
+    return d_C, d_phi[0], d_phi[1]
 
 
 def loss_and_gradients(summary_params, model_params, batch, config, weights=None):

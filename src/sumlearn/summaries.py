@@ -1,19 +1,45 @@
-"""Windowed summary statistics of masked time series.
+"""Windowed summary statistics of masked time series, from one kernel.
 
 Each summary is computed per variable from the last ``C`` hours before the
 time of prediction ``T``.  Soft windows are sigmoid weights
 ``w_t = sigmoid((t - T + C) / tau)`` so the window length is learnable;
 hard windows use the exact indicator ``1(t > T - C)``.
 
-Array convention: time is the trailing axis and hour ``t`` (1-based, in
-``[1, T]``) maps to index ``t - 1``.  All functions broadcast, so they
-accept a single ``(T,)`` series, a ``(D, T)`` variable block, or a full
-``(N, D, T)`` batch with weights of shape ``(T,)`` or ``(D, T)``.
+One kernel, ``summary_blocks``, gives all twelve summaries, in row blocks of
+at most ``BLOCK_BYTES`` per ``(rows, D, T)`` float64 slab so that a block
+stays in cache and its buffers are reused rather than faulted in again:
+
+* First pass: each windowed summary is a closed form of window-weighted
+  time sums ``sum_t w[d, i, t] f(n, d, t)`` of shared features ``f``
+  (``M``, ``M X``, the masked threshold indicators, ``|M[t+1] - M[t]|``),
+  with weight columns ``t w`` for the time sums; one matmul per block.
+* Second pass: variance, indicator variance, slope and slope stderr use
+  centred sums such as ``sum_t w M (X - xbar)^2``, corrected for the
+  rounding of ``xbar`` by ``sum_t w M (X - xbar)`` (the corrected two-pass
+  algorithm of Chan, Golub & LeVeque 1983; cf. West 1979).  Raw moments
+  lose digits when the mean is large against the spread, and so does
+  ``t - tbar`` when one point dominates a window; the variance denominators
+  ``(sum v)^2 - sum v^2`` are summed over pairs ``s < t`` for that reason.
+* Tangent: summary ``i`` of variable ``d`` depends on the one window
+  ``C[d, i]``, so ``dH/dC`` is the same closed form over the same sums
+  taken against ``dw/dC``; ``gradients`` contracts it with ``dL/dH``.
+
+Hard mode is the same kernel with indicator weights and the step threshold
+gate ``s(0) = 1/2``, the tau -> 0 limit of the sigmoid.  Hours run
+``t = 1..T`` and the origin is part of the definition: the EPS guard in
+``tbar = sum v t / (sum v + EPS)`` pulls ``tbar`` towards ``t = 0``, so
+counting hours back from ``T`` instead moves ``slope_stderr`` of
+near-empty windows (``C < 1``) by up to 8e7 of its 1e8.
+
+Time is the trailing axis, hour ``t`` at index ``t - 1``; ``M`` is binary.
+The ``s_*`` views of the kernel give one summary of any broadcastable
+``(..., T)`` series, mask and weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,21 +77,56 @@ SUMMARY_NAMES = (
 
 N_SUMMARIES = len(SUMMARY_NAMES)
 
-# first/last measured are constants of the mask; no gradient path.
-NON_DIFFERENTIABLE = frozenset({FIRST_MEASURED, LAST_MEASURED})
+# Upper bound on one (rows, D, T) float64 slab of a row block.
+BLOCK_BYTES = 64 * 1024
+
+# First-pass features, stacked on the leading axis of a block's slab; the
+# last two enter only the threshold gradients.
+F_M, F_MX, F_ABOVE, F_BELOW, F_SWITCH, F_ABOVE_SLOPE, F_BELOW_SLOPE = range(7)
+
+# Weight columns: one window per summary, then t w of the two slope windows;
+# with the tangent, d(column)/dC at offset N_COLUMNS, then 2 w dw/dC of the
+# variance window.
+COL_T_SLOPE, COL_T_STDERR = N_SUMMARIES, N_SUMMARIES + 1
+N_COLUMNS = N_SUMMARIES + 2
+COL_DSQ_VARIANCE = 2 * N_COLUMNS
+
+# Deviations from first-pass weighted means (values, then hours), and the
+# windows of those means.
+P_VARIANCE, P_SLOPE_X, P_SLOPE_T, P_STDERR_T = range(4)
+DEVIATION_WINDOWS = (VARIANCE, SLOPE, SLOPE, SLOPE_STDERR)
+
+# Second-pass features: the four masked deviations, their centred
+# products, the variance pair sums and the centred mask; and their windows.
+Q_DEV2, Q_AB, Q_AA, Q_STDERR, Q_PAIRS, Q_INDICATOR = range(4, 10)
+SECOND_PASS_WINDOWS = DEVIATION_WINDOWS + (
+    VARIANCE, SLOPE, SLOPE, SLOPE_STDERR, VARIANCE, INDICATOR_VARIANCE
+)
+
+# Ratio summaries sum w f / (sum w M + EPS), with their features f; the two
+# summaries of the mask itself divide by sum w + EPS instead.
+RATIOS = (MEAN, INDICATOR_MEAN, SWITCH_COUNT, FRAC_ABOVE, FRAC_BELOW)
+RATIO_FEATURES = (F_MX, F_M, F_SWITCH, F_ABOVE, F_BELOW)
+WINDOW_RATIOS = (INDICATOR_MEAN, SWITCH_COUNT)
 
 
 def sigmoid(x):
-    """Numerically stable logistic function, elementwise."""
+    """Logistic function, elementwise, exact in both tails.
+
+    exp(min(x, 0)) / (1 + exp(-|x|)) is 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, bit for bit, with no branch and no overflow.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = np.exp(np.minimum(x, 0.0))
+    out /= 1.0 + np.exp(-np.abs(x))
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _step(x):
+    """The tau -> 0 limit of sigmoid(x / tau): 0, 1/2 at zero, 1."""
+    return 0.5 * np.sign(x) + 0.5
 
 
 @dataclass
@@ -92,135 +153,225 @@ class SummaryParams:
         if self.C.ndim != 2:
             raise ValueError("C must be a (D, I) matrix")
 
-    @property
-    def n_variables(self):
-        return self.C.shape[0]
-
-    @property
-    def n_summaries(self):
-        return self.C.shape[1]
-
     def copy(self):
         return SummaryParams(
             self.C.copy(), self.phi_plus.copy(), self.phi_minus.copy(), self.tau_temp
         )
 
 
+def _time_axis(T):
+    return np.arange(1, T + 1, dtype=float)
+
+
 def compute_weights(C, T, tau_temp):
     """Soft window weights, shape (T, I, D): sigmoid((t - T + C) / tau)."""
     C = np.asarray(C, dtype=float)
-    t = np.arange(1, T + 1, dtype=float)
     # (T, 1, 1) + (I, D) -> (T, I, D)
-    return sigmoid((t[:, None, None] - T + C.T[None, :, :]) / tau_temp)
+    return sigmoid((_time_axis(T)[:, None, None] - T + C.T[None, :, :]) / tau_temp)
 
 
 def compute_weights_hard(C, T):
     """Hard window indicators, shape (T, I, D): 1(t > T - C)."""
     C = np.asarray(C, dtype=float)
-    t = np.arange(1, T + 1, dtype=float)
-    return (t[:, None, None] > T - C.T[None, :, :]).astype(float)
+    return (_time_axis(T)[:, None, None] > T - C.T[None, :, :]).astype(float)
 
 
-def s_mean(X, M, w):
-    v = w * M
-    return (v * X).sum(-1) / (v.sum(-1) + EPS)
+def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False):
+    """Yield ``(rows, H, dH_dC, dH_dphi)`` for each row block of the batch.
 
-
-def _weighted_unbiased_variance(values, v):
-    """Reliability-weighted unbiased variance of `values` with weights `v`.
-
-    V = (sum v (x - xbar)^2) * S1 / (S1^2 - S2 + eps); zero when fewer than
-    two effective points (the numerator vanishes there).
+    X, M are (N, D, T); w is (D, I, T), the window of every (variable,
+    summary) cell.  H is (rows, D, I).  With ``tangent`` (relaxed mode only)
+    dH_dC (rows, D, I) is dH[n, d, i]/dC[d, i] and dH_dphi (2, rows, D)
+    holds dH[n, d, FRAC_ABOVE]/dphi_plus[d] and
+    dH[n, d, FRAC_BELOW]/dphi_minus[d]; otherwise both are None.
     """
-    s1 = v.sum(-1)
-    s2 = (v * v).sum(-1)
-    xbar = (v * values).sum(-1) / (s1 + EPS)
-    q = (v * (values - xbar[..., None]) ** 2).sum(-1)
-    return q * s1 / (s1 * s1 - s2 + EPS)
+    N, D, T = X.shape
+    gate = _step if hard else sigmoid
+    t = _time_axis(T)
+    cols = [w, t * w[:, [SLOPE, SLOPE_STDERR]]]  # weight columns, see N_COLUMNS
+    if tangent:
+        wdot = w * (1.0 - w) / tau  # dw/dC
+        cols += [wdot, t * wdot[:, [SLOPE, SLOPE_STDERR]],
+                 2.0 * w[:, [VARIANCE]] * wdot[:, [VARIANCE]]]
+    cols = np.concatenate(cols, axis=1).transpose(0, 2, 1).copy()  # (D, T, J)
+    col_sums = cols.sum(1)  # (D, J): the sums against a feature of ones
+    n_feat = F_BELOW_SLOPE + 1 if tangent else F_SWITCH + 1
+    n_c = 2 if tangent else 1  # sums against w, and against dw/dC
+    column = [[i, N_COLUMNS + i][:n_c] for i in range(N_SUMMARIES)]
+    second_w = cols[:, :, [column[i] for i in SECOND_PASS_WINDOWS]]
+    second_w = np.ascontiguousarray(second_w.transpose(2, 0, 1, 3))  # (10, D, T, n_c)
+    dev_columns = [column[i] for i in DEVIATION_WINDOWS]
+    ratio_columns = np.array([column[i] for i in RATIOS])  # (5, n_c)
+    ratio_features = np.array(RATIO_FEATURES)[:, None]
+    window_ratios = [RATIOS.index(i) for i in WINDOW_RATIOS]
+    window_columns = [column[i] for i in WINDOW_RATIOS]
+    later = np.triu(np.ones((T, T)), 1)  # later[s, t] = 1(s < t)
+    earlier_w = later * w[:, VARIANCE, :, None]  # M @ earlier_w: sum_{s<t} w_s M_s
+    w_iv = w[:, INDICATOR_VARIANCE]
+    s1_iv = col_sums[:, INDICATOR_VARIANCE]
+    den_iv = 2.0 * (w_iv * (w_iv @ later)).sum(-1) + EPS
+    # thresholds per (variable, hour), so that they broadcast over rows only
+    phi_plus = np.repeat(np.asarray(phi_plus, dtype=float)[:, None], T, axis=1)
+    phi_minus = np.repeat(np.asarray(phi_minus, dtype=float)[:, None], T, axis=1)
+    # first and last measured hours: constants of the mask
+    observed = M > 0
+    first_index = observed.argmax(-1)
+    measured = np.take_along_axis(observed, first_index[..., None], -1)[..., 0]
+    first = np.where(measured, (first_index + 1) / T, 1.0)
+    last = np.where(measured, (T - observed[..., ::-1].argmax(-1)) / T, 0.0)
+
+    rows_per_block = max(1, BLOCK_BYTES // (8 * D * T))
+    buffers = [np.empty(n * rows_per_block * D * T)
+               for n in (n_feat, len(DEVIATION_WINDOWS), len(SECOND_PASS_WINDOWS))]
+    sums = np.empty(D * n_feat * rows_per_block * cols.shape[-1])
+    for start in range(0, N, rows_per_block):
+        rows = slice(start, min(start + rows_per_block, N))
+        Xb, Mb = X[rows], M[rows]
+        R = Xb.shape[0]
+        F, P, Q = (buf[: buf.size // rows_per_block * R].reshape(-1, R, D, T)
+                   for buf in buffers)
+
+        # first pass: every (feature, column) time sum in one matmul
+        F[F_M] = Mb
+        np.multiply(Mb, Xb, out=F[F_MX])
+        gates = F[F_ABOVE : F_BELOW + 1]
+        np.subtract(Xb, phi_plus, out=gates[0])
+        np.subtract(phi_minus, Xb, out=gates[1])
+        gates /= tau
+        gated = gate(gates)
+        np.multiply(Mb, gated, out=gates)
+        if tangent:  # d/dphi of the soft indicators, up to sign and tau
+            np.multiply(gates, 1.0 - gated, out=F[F_ABOVE_SLOPE:])
+        # |M[t+1] - M[t]| at t, over the flattened block; 0 at t = T
+        switches = F[F_SWITCH].reshape(-1)
+        np.subtract(Mb.reshape(-1)[1:], Mb.reshape(-1)[:-1], out=switches[:-1])
+        F[F_SWITCH, :, :, -1] = 0.0
+        np.abs(switches, out=switches)
+        S = sums[: sums.size // rows_per_block * R].reshape(D, n_feat * R, -1)
+        np.matmul(F.reshape(-1, D, T).transpose(1, 0, 2), cols, out=S)
+        S = S.reshape(D, n_feat, R, -1).transpose(1, 2, 0, 3)  # (K, R, D, J)
+        m = S[F_M]  # (R, D, J): the sums of w M
+
+        # second pass: sums of deviations from the first-pass means, and of
+        # their products, each against its own summary's window
+        v_sums = m[..., dev_columns].transpose(2, 0, 1, 3)  # (4, R, D, n_c)
+        s = v_sums[..., 0] + EPS
+        mean = S[[F_MX, F_MX, F_M, F_M], :, :,
+                 [VARIANCE, SLOPE, COL_T_SLOPE, COL_T_STDERR]] / s
+        np.subtract(Xb, mean[:P_SLOPE_T, ..., None], out=P[:P_SLOPE_T])
+        np.subtract(t, mean[P_SLOPE_T:, ..., None], out=P[P_SLOPE_T:])
+        MP = Q[: len(DEVIATION_WINDOWS)]
+        np.multiply(Mb, P, out=MP)
+        np.multiply(MP[P_VARIANCE], P[P_VARIANCE], out=Q[Q_DEV2])
+        np.multiply(MP[P_SLOPE_T], P[P_SLOPE_X : P_SLOPE_T + 1],
+                    out=Q[Q_AB : Q_AA + 1])
+        np.multiply(MP[P_STDERR_T], P[P_STDERR_T], out=Q[Q_STDERR])
+        np.matmul(Mb.transpose(1, 0, 2), earlier_w,
+                  out=Q[Q_PAIRS].transpose(1, 0, 2))
+        Q[Q_PAIRS] *= Mb
+        mbar = m[..., INDICATOR_VARIANCE] / (s1_iv + EPS)
+        np.subtract(Mb, mbar[..., None], out=Q[Q_INDICATOR])
+        np.square(Q[Q_INDICATOR], out=Q[Q_INDICATOR])
+        q = np.matmul(Q.transpose(0, 2, 1, 3), second_w).transpose(0, 2, 1, 3)
+
+        # The corrected two-pass algorithm: the first-pass means are off by
+        # their rounding, which sum v (x - mean1) measures; with v = w M and
+        # s = sum v + EPS the exact mean is mean1 + (that sum - mean1 EPS) / s.
+        dev_sums = q[: len(DEVIATION_WINDOWS)]  # (4, R, D, n_c)
+        shift = (dev_sums[..., 0] - mean * EPS) / s
+        mean += shift
+        residual = mean * EPS  # sum v (x - mean), exactly
+
+        def centred(k, a, b, c=0):  # sum v (x_a - mean_a)(x_b - mean_b), v ~ w or dw
+            return (q[k, ..., c] - shift[a] * dev_sums[b, ..., c]
+                    - shift[b] * dev_sums[a, ..., c]
+                    + shift[a] * shift[b] * v_sums[a, ..., c])
+
+        # tangent: the derivative of every sum above is the same sum against
+        # dw/dC, and d(mean)/dC = sum dv (x - mean) / s
+        if tangent:
+            dmean = (dev_sums[..., 1] - shift * v_sums[..., 1]) / s
+        H = np.empty((R, D, N_SUMMARIES))
+        dH = np.zeros((R, D, N_SUMMARIES)) if tangent else None
+        H[..., FIRST_MEASURED] = first[rows]
+        H[..., LAST_MEASURED] = last[rows]
+
+        # ratios: numerator sums over sum w M + EPS, or sum w + EPS
+        den = m[..., ratio_columns].transpose(2, 0, 1, 3)  # (5, R, D, n_c)
+        den[window_ratios] = col_sums[:, window_columns].transpose(1, 0, 2)[:, None]
+        den[..., 0] += EPS
+        num = S[ratio_features, :, :, ratio_columns].transpose(0, 2, 3, 1)
+        ratio = num[..., 0] / den[..., 0]
+        H[..., RATIOS] = ratio.transpose(1, 2, 0)
+        if tangent:
+            dH[..., RATIOS] = ((num[..., 1] - ratio * den[..., 1]) / den[..., 0]
+                               ).transpose(1, 2, 0)
+
+        b_ever = tau * col_sums[:, EVER_MEASURED] + EPS
+        a_ever = m[..., EVER_MEASURED] / b_ever
+        H[..., EVER_MEASURED] = h = gate(a_ever)
+        if tangent:
+            dH[..., EVER_MEASURED] = h * (1.0 - h) * (
+                m[..., N_COLUMNS + EVER_MEASURED]
+                - a_ever * tau * col_sums[:, N_COLUMNS + EVER_MEASURED]
+            ) / b_ever
+
+        # unbiased variances q s1 / (2 sum_{s<t} v_s v_t + EPS)
+        q_var = centred(Q_DEV2, P_VARIANCE, P_VARIANCE)
+        s1 = m[..., VARIANCE]
+        den_var = 2.0 * q[Q_PAIRS, ..., 0] + EPS
+        H[..., VARIANCE] = q_var * s1 / den_var
+        H[..., INDICATOR_VARIANCE] = q[Q_INDICATOR, ..., 0] * s1_iv / den_iv
+        if tangent:
+            dq = (centred(Q_DEV2, P_VARIANCE, P_VARIANCE, 1)
+                  - 2.0 * dmean[P_VARIANCE] * residual[P_VARIANCE])
+            ds1 = m[..., N_COLUMNS + VARIANCE]
+            dden = 2.0 * s1 * ds1 - m[..., COL_DSQ_VARIANCE]
+            dH[..., VARIANCE] = (
+                dq * s1 + q_var * ds1 - H[..., VARIANCE] * dden
+            ) / den_var
+            ds1 = col_sums[:, N_COLUMNS + INDICATOR_VARIANCE]
+            dmbar = m[..., N_COLUMNS + INDICATOR_VARIANCE] - mbar * ds1
+            dmbar /= s1_iv + EPS
+            dq = q[Q_INDICATOR, ..., 1] - 2.0 * dmbar * mbar * EPS
+            ds2 = 2.0 * (w_iv * cols[:, :, N_COLUMNS + INDICATOR_VARIANCE]).sum(-1)
+            dH[..., INDICATOR_VARIANCE] = (
+                dq * s1_iv + q[Q_INDICATOR, ..., 0] * ds1
+                - H[..., INDICATOR_VARIANCE] * (2.0 * s1_iv * ds1 - ds2)
+            ) / den_iv
+
+        den_slope = centred(Q_AA, P_SLOPE_T, P_SLOPE_T) + EPS
+        H[..., SLOPE] = centred(Q_AB, P_SLOPE_T, P_SLOPE_X) / den_slope
+        den_se = centred(Q_STDERR, P_STDERR_T, P_STDERR_T) + EPS
+        H[..., SLOPE_STDERR] = 1.0 / den_se
+        if not tangent:
+            yield rows, H, None, None
+            continue
+        dnum = centred(Q_AB, P_SLOPE_T, P_SLOPE_X, 1) - (
+            dmean[P_SLOPE_T] * residual[P_SLOPE_X]
+            + dmean[P_SLOPE_X] * residual[P_SLOPE_T]
+        )
+        dden = (centred(Q_AA, P_SLOPE_T, P_SLOPE_T, 1)
+                - 2.0 * dmean[P_SLOPE_T] * residual[P_SLOPE_T])
+        dH[..., SLOPE] = (dnum - H[..., SLOPE] * dden) / den_slope
+        dden = (centred(Q_STDERR, P_STDERR_T, P_STDERR_T, 1)
+                - 2.0 * dmean[P_STDERR_T] * residual[P_STDERR_T])
+        dH[..., SLOPE_STDERR] = -dden / den_se**2
+        dH_dphi = S[[F_ABOVE_SLOPE, F_BELOW_SLOPE], ..., [FRAC_ABOVE, FRAC_BELOW]] / (
+            tau * (m[..., [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) + EPS))
+        dH_dphi[0] *= -1.0
+        yield rows, H, dH, dH_dphi
 
 
-def s_variance(X, M, w):
-    return _weighted_unbiased_variance(X, w * M)
-
-
-def s_ever_measured(M, w, tau_temp):
-    num = (w * M).sum(-1)
-    den = tau_temp * np.asarray(w).sum(-1) + EPS
-    return sigmoid(num / den)
-
-
-def s_indicator_mean(M, w):
-    return (w * M).sum(-1) / (np.asarray(w).sum(-1) + EPS)
-
-
-def s_indicator_variance(M, w):
-    return _weighted_unbiased_variance(M, np.asarray(w, dtype=float))
-
-
-def s_switch_count(M, w):
-    w = np.asarray(w, dtype=float)
-    switches = np.abs(np.diff(M, axis=-1))
-    return (w[..., :-1] * switches).sum(-1) / (w.sum(-1) + EPS)
-
-
-def s_first_measured(M):
-    M = np.asarray(M)
-    T = M.shape[-1]
-    any_measured = M.any(-1)
-    first = (M.argmax(-1) + 1) / T
-    return np.where(any_measured, first, 1.0)
-
-
-def s_last_measured(M):
-    M = np.asarray(M)
-    T = M.shape[-1]
-    any_measured = M.any(-1)
-    last = (T - M[..., ::-1].argmax(-1)) / T
-    return np.where(any_measured, last, 0.0)
-
-
-def s_frac_above(X, M, w, phi_plus, tau_temp):
-    v = w * M
-    soft = sigmoid((X - np.asarray(phi_plus)[..., None]) / tau_temp)
-    return (v * soft).sum(-1) / (v.sum(-1) + EPS)
-
-
-def s_frac_below(X, M, w, phi_minus, tau_temp):
-    v = w * M
-    soft = sigmoid((np.asarray(phi_minus)[..., None] - X) / tau_temp)
-    return (v * soft).sum(-1) / (v.sum(-1) + EPS)
-
-
-def _time_axis(T):
-    return np.arange(1, T + 1, dtype=float)
-
-
-def s_slope(X, M, w):
-    v = w * M
-    t = _time_axis(np.asarray(X).shape[-1])
-    s = v.sum(-1) + EPS
-    tbar = (v * t).sum(-1) / s
-    xbar = (v * X).sum(-1) / s
-    a = t - tbar[..., None]
-    b = X - xbar[..., None]
-    num = (v * a * b).sum(-1)
-    den = (v * a * a).sum(-1) + EPS
-    return num / den
-
-
-def s_slope_stderr(M, w):
-    v = w * M
-    t = _time_axis(np.asarray(M).shape[-1])
-    s = v.sum(-1) + EPS
-    tbar = (v * t).sum(-1) / s
-    a = t - tbar[..., None]
-    return 1.0 / ((v * a * a).sum(-1) + EPS)
-
-
-def _hard_frac(X, M, w, phi, above):
-    v = w * M
-    ind = (X > phi[..., None]) if above else (X < phi[..., None])
-    return (v * ind).sum(-1) / (v.sum(-1) + EPS)
+def window_weights(params, T, mode):
+    """(D, I, T) windows of every (variable, summary) cell for a mode."""
+    if mode == "relaxed":
+        W = compute_weights(params.C, T, params.tau_temp)
+    elif mode == "hard":
+        W = compute_weights_hard(params.C, T)
+    else:
+        raise ValueError(f"unknown summary mode: {mode!r}")
+    return np.ascontiguousarray(W.transpose(2, 1, 0))
 
 
 def compute_summary_tensor(X, M, params, mode="relaxed"):
@@ -229,45 +380,43 @@ def compute_summary_tensor(X, M, params, mode="relaxed"):
     mode="relaxed" uses soft windows and soft threshold indicators;
     mode="hard" uses exact indicators throughout (no tau dependence).
     """
-    if mode not in ("relaxed", "hard"):
-        raise ValueError(f"unknown summary mode: {mode!r}")
     X = np.asarray(X, dtype=float)
     M = np.asarray(M, dtype=float)
-    N, D, T = X.shape
-    tau = params.tau_temp
-    if mode == "relaxed":
-        W = compute_weights(params.C, T, tau)
-    else:
-        W = compute_weights_hard(params.C, T)
-
-    def w_of(i):
-        return W[:, i, :].T  # (D, T)
-
-    H = np.empty((N, D, N_SUMMARIES), dtype=float)
-    H[:, :, MEAN] = s_mean(X, M, w_of(MEAN))
-    H[:, :, VARIANCE] = s_variance(X, M, w_of(VARIANCE))
-    if mode == "relaxed":
-        H[:, :, EVER_MEASURED] = s_ever_measured(M, w_of(EVER_MEASURED), tau)
-        H[:, :, FRAC_ABOVE] = s_frac_above(
-            X, M, w_of(FRAC_ABOVE), params.phi_plus, tau
-        )
-        H[:, :, FRAC_BELOW] = s_frac_below(
-            X, M, w_of(FRAC_BELOW), params.phi_minus, tau
-        )
-    else:
-        in_window = (w_of(EVER_MEASURED) * M).sum(-1) > 0
-        H[:, :, EVER_MEASURED] = np.where(in_window, 1.0, 0.5)
-        H[:, :, FRAC_ABOVE] = _hard_frac(
-            X, M, w_of(FRAC_ABOVE), params.phi_plus, above=True
-        )
-        H[:, :, FRAC_BELOW] = _hard_frac(
-            X, M, w_of(FRAC_BELOW), params.phi_minus, above=False
-        )
-    H[:, :, INDICATOR_MEAN] = s_indicator_mean(M, w_of(INDICATOR_MEAN))
-    H[:, :, INDICATOR_VARIANCE] = s_indicator_variance(M, w_of(INDICATOR_VARIANCE))
-    H[:, :, SWITCH_COUNT] = s_switch_count(M, w_of(SWITCH_COUNT))
-    H[:, :, FIRST_MEASURED] = s_first_measured(M)
-    H[:, :, LAST_MEASURED] = s_last_measured(M)
-    H[:, :, SLOPE] = s_slope(X, M, w_of(SLOPE))
-    H[:, :, SLOPE_STDERR] = s_slope_stderr(M, w_of(SLOPE_STDERR))
+    W = window_weights(params, X.shape[-1], mode)
+    H = np.empty(X.shape[:2] + (N_SUMMARIES,))
+    for rows, h, _, _ in summary_blocks(
+        X, M, W, params.phi_plus, params.phi_minus, params.tau_temp,
+        hard=mode == "hard",
+    ):
+        H[rows] = h
     return H
+
+
+def _view(i, X, M, w=1.0, phi=0.0, tau_temp=1.0):
+    """Summary i of the kernel for broadcastable (..., T) inputs; phi is
+    the threshold of whichever threshold summary i is."""
+    X, M, w = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (X, M, w)))
+    shape, T = X.shape[:-1], X.shape[-1]
+    # every leading index becomes a variable of a one-example batch
+    phi = np.broadcast_to(phi, shape).reshape(-1)
+    W = np.repeat(w.reshape(-1, 1, T), N_SUMMARIES, axis=1)
+    (_, H, _, _), = summary_blocks(X.reshape(1, -1, T), M.reshape(1, -1, T), W,
+                                   phi, phi, tau_temp)
+    return H[0, :, i].reshape(shape)[()]
+
+
+def _mask_view(i, M, w=1.0, tau_temp=1.0):
+    return _view(i, M, M, w, tau_temp=tau_temp)
+
+
+# One summary at a time: s_frac_above(X, M, w, phi_plus, tau_temp),
+# s_ever_measured(M, w, tau_temp), s_first_measured(M), ...
+s_mean, s_variance, s_frac_above, s_frac_below, s_slope = (
+    partial(_view, i) for i in (MEAN, VARIANCE, FRAC_ABOVE, FRAC_BELOW, SLOPE)
+)
+(s_ever_measured, s_indicator_mean, s_indicator_variance, s_switch_count,
+ s_first_measured, s_last_measured, s_slope_stderr) = (
+    partial(_mask_view, i)
+    for i in (EVER_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE, SWITCH_COUNT,
+              FIRST_MEASURED, LAST_MEASURED, SLOPE_STDERR)
+)

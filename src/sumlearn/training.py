@@ -94,12 +94,25 @@ def _evaluate(summary_params, model_params, batch, config, weights):
     return loss, auc(scores, batch.y)
 
 
+def _check_windows(C, T, epoch):
+    """Raise NumericalError naming the first window length outside [0, T]
+    (after clipping, only a NaN can be)."""
+    outside = ~((C >= 0) & (C <= T))
+    if outside.any():
+        d, i = np.argwhere(outside)[0]
+        raise NumericalError(
+            f"window length left [0, {T}] at epoch {epoch} "
+            f"(block: C, entry ({d}, {i}) = {C[d, i]})"
+        )
+
+
 def train(batch_train, batch_val, config):
     """Seeded minibatch training; returns best-by-validation parameters.
 
     Minibatch class weights use the global train-split frequencies so the
     objective is stationary across batches.  C is clamped to [0, T] after
-    every step.  A non-finite loss aborts with NumericalError.
+    every step.  A non-finite loss or window length aborts with
+    NumericalError.
     """
     rng = np.random.default_rng(config.seed)
     summary_params, model_params = init_params(batch_train, config)
@@ -142,6 +155,7 @@ def train(batch_train, batch_val, config):
             summary_params.C = np.clip(
                 adam_step(summary_params.C, grads.d_C, states["C"], lr_sum), 0.0, T
             )
+            _check_windows(summary_params.C, T, epoch)
             summary_params.phi_plus = adam_step(
                 summary_params.phi_plus, grads.d_phi_plus, states["phi_plus"], lr_sum
             )
@@ -151,7 +165,6 @@ def train(batch_train, batch_val, config):
             )
         stopped_epoch = epoch
         if epoch % config.eval_interval == 0 or epoch == config.max_epochs:
-            assert summary_params.C.min() >= 0 and summary_params.C.max() <= T
             train_loss = total_loss(
                 summary_params, model_params, batch_train, config, weights=omega
             )

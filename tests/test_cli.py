@@ -123,6 +123,28 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    def test_non_finite_window_is_3(self, cohort_dir, tmp_path, monkeypatch,
+                                    capsys):
+        import sumlearn.training as training
+
+        real = training.loss_and_gradients
+
+        def nan_window_grads(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            grads.d_C[:] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "loss_and_gradients", nan_window_grads)
+        code = main([
+            "train", "--cohort-dir", str(cohort_dir), "--out", str(tmp_path),
+            "--t", "12", "--seeds", "0", "--epochs", "2", "--eval-interval", "1",
+            "--batch-size", "64",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "block: C" in err
+        assert "Traceback" not in err
+
     def test_gradcheck_passes_with_0(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         assert "max relative error" in capsys.readouterr().out

@@ -3,7 +3,7 @@ import pytest
 
 from sumlearn import TrainConfig, finite_difference_check, loss_and_gradients
 from sumlearn.model import feature_names_for, ModelParams
-from sumlearn.summaries import SummaryParams
+from sumlearn.summaries import BLOCK_BYTES, SummaryParams
 
 from conftest import random_batch
 
@@ -51,6 +51,18 @@ class TestFiniteDifference:
         assert report.worst is not None
         assert report.worst.rel_error == report.max_rel_error
         assert len(report.entries) > 0
+
+
+class TestMultiBlock:
+    """The kernel walks the batch in row blocks; these batches span three."""
+
+    @pytest.mark.parametrize("n, d, t", [(200, 4, 24), (25, 8, 96)])
+    def test_relaxed_gradients_match_across_blocks(self, rng, n, d, t):
+        rows_per_block = max(1, BLOCK_BYTES // (8 * d * t))
+        assert -(-n // rows_per_block) >= 3
+        batch, sp, mp, config = make_setup(rng, n=n, d=d, t=t)
+        report = finite_difference_check(sp, mp, batch, config, seed=3)
+        assert report.max_rel_error < 1e-4, report.worst
 
 
 class TestGradientStructure:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from sumlearn import SummaryParams, compute_summary_tensor
 from sumlearn.summaries import (
+    BLOCK_BYTES,
     EPS,
     FRAC_ABOVE,
     FRAC_BELOW,
@@ -288,6 +289,17 @@ class TestSummaryTensor:
             for i in (MEAN, VARIANCE, FRAC_ABOVE, FRAC_BELOW, SLOPE):
                 assert np.abs(windowed[:, :, i] - truncated[:, :, i]).max() < 1e-12
 
+    def test_hard_threshold_is_half_at_equality(self):
+        # the step gate is the tau -> 0 limit of the soft one: 1/2 at zero
+        x = np.full((1, 1, 4), 2.5)
+        params = SummaryParams(
+            C=np.full((1, 12), 4.0), phi_plus=np.array([2.5]),
+            phi_minus=np.array([2.5]), tau_temp=0.1,
+        )
+        h = compute_summary_tensor(x, np.ones_like(x), params, mode="hard")[0, 0]
+        assert h[FRAC_ABOVE] == pytest.approx(0.5, abs=1e-7)
+        assert h[FRAC_BELOW] == pytest.approx(0.5, abs=1e-7)
+
     def test_all_missing_variable_is_finite(self):
         x = np.zeros((2, 2, 6))
         m = np.zeros((2, 2, 6))
@@ -357,3 +369,159 @@ def test_bounded_summaries_stay_in_range(seed):
     assert (h[:, :, VARIANCE] >= -1e-12).all()
     for i in (FRAC_ABOVE, FRAC_BELOW):
         assert (h[:, :, i] >= 0).all() and (h[:, :, i] <= 1 + 1e-12).all()
+
+
+class TestSigmoid:
+    def test_left_tail_is_relatively_exact(self):
+        expected = np.exp(-40.0) / (1.0 + np.exp(-40.0))
+        assert abs(sigmoid(-40.0) - expected) <= 1e-15 * expected
+
+    def test_extremes_without_warnings(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(745.0) == 1.0
+            assert sigmoid(-745.0) == np.exp(-745.0) > 0.0
+            assert sigmoid(np.inf) == 1.0
+            assert sigmoid(-np.inf) == 0.0
+            assert np.isnan(sigmoid(np.nan))
+
+    def test_zero_d_input_gives_a_float(self):
+        for x in (0.0, np.float64(0.0), np.array(0.0)):
+            value = sigmoid(x)
+            assert type(value) is float and value == 0.5
+
+    def test_equals_two_branch_form(self, rng):
+        x = np.concatenate([rng.standard_normal(5000) * 30, [0.0, -0.0]])
+        two_branch = np.empty_like(x)
+        pos = x >= 0
+        two_branch[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        two_branch[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        assert np.array_equal(sigmoid(x), two_branch)
+
+
+# ------------------------------------------------------ multi-block batches
+#
+# The kernel walks the batch in row blocks of BLOCK_BYTES; these batches
+# span at least three blocks.  The references evaluate each published
+# formula directly, in extended precision, with the weights the kernel uses.
+
+LD = np.longdouble
+
+
+def _rows_per_block(d, t):
+    return max(1, BLOCK_BYTES // (8 * d * t))
+
+
+def _ref_pairs(v):
+    """sum_{s<t} v_s v_t, i.e. ((sum v)^2 - sum v^2) / 2."""
+    return (v[..., 1:] * np.cumsum(v[..., :-1], axis=-1)).sum(-1)
+
+
+def _ref_variance(x, v):
+    s1 = v.sum(-1)
+    xbar = (v * x).sum(-1) / (s1 + EPS)
+    q = (v * (x - xbar[..., None]) ** 2).sum(-1)
+    return q * s1 / (2 * _ref_pairs(v) + EPS)
+
+
+def _ref_slope_terms(x, v, t):
+    s = v.sum(-1) + EPS
+    a = t - ((v * t).sum(-1) / s)[..., None]
+    b = x - ((v * x).sum(-1) / s)[..., None]
+    return (v * a * b).sum(-1), (v * a * a).sum(-1) + EPS
+
+
+def _reference_summaries(X, M, params, mode):
+    X, M = X.astype(LD), M.astype(LD)
+    N, D, T = X.shape
+    if mode == "relaxed":
+        W = compute_weights(params.C, T, params.tau_temp)
+    else:
+        W = compute_weights_hard(params.C, T)
+    W = W.transpose(2, 1, 0).astype(LD)  # (D, I, T)
+    tau = LD(params.tau_temp)
+    t = np.arange(1, T + 1).astype(LD)
+    if mode == "relaxed":
+        def gate(u):
+            return 1 / (1 + np.exp(-u))
+    else:
+        def gate(u):
+            return np.heaviside(u, LD(0.5))
+
+    def v(i):
+        return W[:, i] * M
+
+    H = np.empty((N, D, 12), dtype=LD)
+    H[..., 0] = (v(0) * X).sum(-1) / (v(0).sum(-1) + EPS)
+    H[..., 1] = _ref_variance(X, v(1))
+    H[..., 2] = gate(v(2).sum(-1) / (tau * W[:, 2].sum(-1) + EPS))
+    H[..., 3] = v(3).sum(-1) / (W[:, 3].sum(-1) + EPS)
+    H[..., 4] = _ref_variance(M, np.broadcast_to(W[:, 4], M.shape))
+    H[..., 5] = (W[:, 5, :-1] * np.abs(np.diff(M, axis=-1))).sum(-1) / (
+        W[:, 5].sum(-1) + EPS
+    )
+    measured = M.any(-1)
+    H[..., 6] = np.where(measured, (M.argmax(-1) + 1) / LD(T), 1)
+    H[..., 7] = np.where(measured, (T - M[..., ::-1].argmax(-1)) / LD(T), 0)
+    above = gate((X - params.phi_plus.astype(LD)[:, None]) / tau)
+    below = gate((params.phi_minus.astype(LD)[:, None] - X) / tau)
+    H[..., 8] = (v(8) * above).sum(-1) / (v(8).sum(-1) + EPS)
+    H[..., 9] = (v(9) * below).sum(-1) / (v(9).sum(-1) + EPS)
+    num, den = _ref_slope_terms(X, v(10), t)
+    H[..., 10] = num / den
+    H[..., 11] = 1 / _ref_slope_terms(X, v(11), t)[1]
+    return H
+
+
+@pytest.mark.skipif(np.finfo(LD).eps > 1e-18,
+                    reason="the references need an extended-precision long double")
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([0.0, 1e3]),
+       st.sampled_from(["near_empty", "anywhere"]),
+       st.floats(min_value=0.1, max_value=0.95))
+def test_kernel_matches_formulas_across_blocks(seed, offset, windows, p_obs):
+    rng = np.random.default_rng(seed)
+    d, t = 4, 24
+    n = 3 * _rows_per_block(d, t) + int(rng.integers(1, 20))
+    X = rng.standard_normal((n, d, t)) + offset
+    M = (rng.random((n, d, t)) < p_obs).astype(float)
+    c_max = 0.5 if windows == "near_empty" else t
+    params = SummaryParams(
+        C=rng.uniform(0, c_max, (d, 12)),
+        phi_plus=offset + rng.standard_normal(d),
+        phi_minus=offset + rng.standard_normal(d), tau_temp=0.1,
+    )
+    for mode in ("relaxed", "hard"):
+        H = compute_summary_tensor(X, M, params, mode=mode)
+        ref = _reference_summaries(X, M, params, mode)
+        err = np.abs(H - ref) / np.maximum(1, np.abs(ref))
+        worst = np.unravel_index(err.argmax(), err.shape)
+        assert float(err.max()) < 1e-12, (mode, worst)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_missingness_summaries_ignore_values_across_blocks(seed):
+    from sumlearn.summaries import (
+        EVER_MEASURED, FIRST_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE,
+        LAST_MEASURED, SWITCH_COUNT,
+    )
+
+    rng = np.random.default_rng(seed)
+    d, t = 3, 16
+    n = 3 * _rows_per_block(d, t) + 5
+    m = (rng.random((n, d, t)) < 0.7).astype(float)
+    x1 = rng.standard_normal((n, d, t))
+    x2 = rng.standard_normal((n, d, t)) * 50
+    params = SummaryParams(
+        C=rng.uniform(0, t, (d, 12)), phi_plus=rng.standard_normal(d),
+        phi_minus=rng.standard_normal(d), tau_temp=0.2,
+    )
+    h1 = compute_summary_tensor(x1, m, params, mode="relaxed")
+    h2 = compute_summary_tensor(x2, m, params, mode="relaxed")
+    for i in (EVER_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE,
+              SWITCH_COUNT, FIRST_MEASURED, LAST_MEASURED):
+        assert np.array_equal(h1[:, :, i], h2[:, :, i])

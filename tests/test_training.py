@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import sumlearn.training as training
 from sumlearn import TrainConfig, init_params, train
+from sumlearn.errors import NumericalError
 from sumlearn.training import AdamState, adam_step
 
 from conftest import random_batch
@@ -118,3 +120,17 @@ class TestTrain:
         assert len(lines) == len(fit.history)
         first = json.loads(lines[0])
         assert set(first) == {"epoch", "train_loss", "val_loss", "val_auc"}
+
+    def test_non_finite_window_raises_numerical_error(self, rng, monkeypatch):
+        real = training.loss_and_gradients
+
+        def nan_window_grads(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            grads.d_C[1, 3] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "loss_and_gradients", nan_window_grads)
+        tr = random_batch(rng, n=40, d=2, t=8)
+        va = random_batch(rng, n=20, d=2, t=8)
+        with pytest.raises(NumericalError, match=r"block: C, entry \(1, 3\)"):
+            train(tr, va, tiny_config(max_epochs=10, eval_interval=5))

@@ -23,13 +23,7 @@ from .model import (
     total_loss,
     weighted_bce,
 )
-from .summaries import (
-    SUMMARY_NAMES,
-    SummaryParams,
-    compute_summary_tensor,
-    compute_weights,
-    compute_weights_hard,
-)
+from .summaries import SUMMARY_NAMES, SummaryParams, compute_summary_tensor
 from .synth import SynthSpec, describe_ground_truth, generate
 from .training import FitResult, adam_step, init_params, train
 
@@ -55,8 +49,6 @@ __all__ = [
     "build_batch",
     "class_weights",
     "compute_summary_tensor",
-    "compute_weights",
-    "compute_weights_hard",
     "describe_ground_truth",
     "finite_difference_check",
     "fit_normalization",

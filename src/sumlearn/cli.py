@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
 
 Config files are flat ``key = value`` text ('#' comments); command-line
-flags override file values.  Keys mirror TrainConfig plus the synthetic
-cohort spec fields.
+flags override file values.  The keys are the field names of TrainConfig
+and SynthSpec (``max_epochs``, not ``epochs``), and each train/synth flag
+stores into its field (``--epochs`` into ``max_epochs``).  One file can
+serve both commands: each reads its own fields.  A key that is neither
+command's field is a usage error.
 """
 
 from __future__ import annotations
@@ -26,8 +29,13 @@ from .errors import (
     UsageError,
 )
 
-TRAIN_KEYS = {f.name: f.type for f in dataclasses.fields(model.TrainConfig)}
-SYNTH_KEYS = {f.name: f.type for f in dataclasses.fields(synth.SynthSpec)}
+# Config-file key -> field type ('int', 'float' or 'str'); ``seed`` is an
+# int in both dataclasses.
+FIELD_TYPES = {
+    f.name: f.type
+    for cls in (model.TrainConfig, synth.SynthSpec) for f in dataclasses.fields(cls)
+}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,60 +44,48 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path):
-    """Parse a flat key = value config file into a dict of strings."""
+    """Parse a flat key = value config file into a dict of strings, checking
+    each key against FIELD_TYPES and each value against the key's type."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     out = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"{path} line {line_no}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in FIELD_TYPES:
+            raise UsageError(
+                f"{path} line {line_no}: unknown key {key!r} "
+                "(keys are TrainConfig and SynthSpec field names)"
+            )
+        try:
+            _PARSERS[FIELD_TYPES[key]](value)
+        except ValueError:
+            raise UsageError(
+                f"{path} line {line_no}: {key} = {value!r} is not {FIELD_TYPES[key]}"
+            ) from None
+        out[key] = value
     return out
 
 
-def _coerce(raw, typ):
-    if typ in ("int", int):
-        return int(raw)
-    if typ in ("float", float):
-        return float(raw)
-    return raw
-
-
-def _collect(config_file, cli_values, schema):
-    """Merge config-file values and CLI overrides against a dataclass schema."""
-    merged = {}
-    if config_file:
-        for key, raw in read_config(config_file).items():
-            if key in schema:
-                merged[key] = _coerce(raw, schema[key])
-    for key, value in cli_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def _train_config_from(args, extra=None):
-    values = {
-        "learning_rate": args.lr,
-        "lr_summary": getattr(args, "lr_summary", None),
-        "batch_size": getattr(args, "batch_size", None),
-        "max_epochs": getattr(args, "epochs", None),
-        "eval_interval": getattr(args, "eval_interval", None),
-        "patience": getattr(args, "patience", None),
-        "alpha": getattr(args, "alpha", None),
-        "tau_hs": getattr(args, "tau_hs", None),
-        "tau_temp": getattr(args, "tau_temp", None),
-        "mode": getattr(args, "mode", None),
-        "penalty": getattr(args, "penalty", None),
-    }
-    if extra:
-        values.update(extra)
-    schema = dict(TRAIN_KEYS)
-    schema["lr_summary"] = float
-    merged = _collect(getattr(args, "config", None), values, schema)
-    return model.TrainConfig(**merged)
+def _config(cls, args):
+    """``cls`` built from its fields: config-file values, then every flag
+    given on the command line (a flag's dest is its field name)."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = {}
+    if args.config:
+        for key, raw in read_config(args.config).items():
+            if key in names:
+                values[key] = _PARSERS[FIELD_TYPES[key]](raw)
+    for name in names:
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    return cls(**values)
 
 
 def _load_cohort(args, T, variables=None, categorical=None):
@@ -117,11 +113,7 @@ def _add_cohort_args(p):
 
 
 def cmd_synth(args):
-    merged = _collect(args.config, {
-        "n_examples": args.n, "n_variables": args.d, "T": args.t,
-        "prevalence": args.prevalence, "seed": args.seed,
-    }, SYNTH_KEYS)
-    spec = synth.SynthSpec(**merged)
+    spec = _config(synth.SynthSpec, args)
     batch, descriptor = synth.generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +160,7 @@ def _fit_one_seed(raw, config, test_fraction, seed, out_dir):
 
 
 def cmd_train(args):
-    config = _train_config_from(args)
+    config = _config(model.TrainConfig, args)
     seeds = [int(s) for s in args.seeds.split(",")]
     categorical = args.categorical.split(",") if args.categorical else ()
     raw = _load_cohort(args, args.t, categorical=categorical)
@@ -296,9 +288,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--t", type=int)
+    p.add_argument("--n", dest="n_examples", type=int)
+    p.add_argument("--d", dest="n_variables", type=int)
+    p.add_argument("--t", dest="T", type=int)
     p.add_argument("--prevalence", type=float)
     p.set_defaults(func=cmd_synth)
 
@@ -311,10 +303,10 @@ def build_parser():
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--mode", choices=model.MODES)
     p.add_argument("--penalty", choices=model.PENALTIES)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--lr-summary", dest="lr_summary", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", dest="max_epochs", type=int)
     p.add_argument("--eval-interval", dest="eval_interval", type=int)
     p.add_argument("--patience", type=int)
     p.add_argument("--alpha", type=float)

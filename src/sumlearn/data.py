@@ -10,13 +10,22 @@ A cohort moves through two representations:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import ConflictError, DataError, ParseError, RangeError, SchemaError
 
 STD_FLOOR = 1e-6
+
+
+def _take(cohort, indices):
+    """The examples ``indices`` of a RawCohort or ClinicalBatch, in order:
+    every array field and the patient ids are indexed, the names shared."""
+    idx = np.asarray(indices)
+    rows = {f.name: getattr(cohort, f.name)[idx] for f in fields(cohort)
+            if isinstance(getattr(cohort, f.name), np.ndarray)}
+    return replace(cohort, patient_ids=[cohort.patient_ids[i] for i in idx], **rows)
 
 
 @dataclass
@@ -38,16 +47,7 @@ class RawCohort:
     def T(self):
         return self.values.shape[2]
 
-    def take(self, indices):
-        idx = np.asarray(indices)
-        return RawCohort(
-            self.values[idx],
-            self.S[idx],
-            self.y[idx],
-            [self.patient_ids[i] for i in idx],
-            self.variable_names,
-            self.static_names,
-        )
+    take = _take
 
 
 @dataclass
@@ -84,17 +84,7 @@ class ClinicalBatch:
     def n_static(self):
         return self.S.shape[1]
 
-    def take(self, indices):
-        idx = np.asarray(indices)
-        return ClinicalBatch(
-            self.X[idx],
-            self.M[idx],
-            self.S[idx],
-            self.y[idx],
-            [self.patient_ids[i] for i in idx],
-            self.variable_names,
-            self.static_names,
-        )
+    take = _take
 
 
 @dataclass

@@ -39,16 +39,26 @@ from .summaries import (
 )
 
 
+# The learnable blocks, each an attribute of ModelParams or SummaryParams
+# with a ``d_<name>`` field in GradientSet.
+BLOCKS = ("coeffs", "bias", "C", "phi_plus", "phi_minus")
+
+
+def block_owner(name, summary_params, model_params):
+    """The parameter object that holds block ``name``."""
+    return model_params if hasattr(model_params, name) else summary_params
+
+
 @dataclass
 class GradientSet:
     """Partial derivatives of the loss for every learnable block.
 
-    d_coeffs has F+1 entries: the F design coefficients followed by the
-    bias.  Non-differentiable summaries (first/last measured) contribute
-    exactly zero to d_C.
+    Non-differentiable summaries (first/last measured) contribute exactly
+    zero to d_C.
     """
 
-    d_coeffs: np.ndarray  # (F + 1,), bias last
+    d_coeffs: np.ndarray  # (F,)
+    d_bias: float
     d_C: np.ndarray  # (D, I)
     d_phi_plus: np.ndarray  # (D,)
     d_phi_minus: np.ndarray  # (D,)
@@ -88,13 +98,15 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
         model_params.coeffs, config
     )
     if not np.isfinite(loss):
-        bad = "coefficients" if not np.all(np.isfinite(z)) else "summaries"
-        raise NumericalError(f"non-finite loss (suspect block: {bad})")
+        bad = np.flatnonzero(~np.isfinite(design).all(0))
+        names = model_params.feature_names
+        where = (f"first non-finite design column: {names[bad[0]]}" if bad.size
+                 else "design matrix finite")
+        raise NumericalError(f"non-finite loss ({where})")
 
     r = weights * (y_hat - y) / N
     d_bias = r.sum()
-    d_beta = design.T @ r + config.alpha * penalty_grad(model_params.coeffs, config)
-    d_coeffs = np.concatenate([d_beta, [d_bias]])
+    d_coeffs = design.T @ r + config.alpha * penalty_grad(model_params.coeffs, config)
 
     d_C = np.zeros_like(summary_params.C)
     d_phi_plus = np.zeros(D)
@@ -103,7 +115,7 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
         n_hcols = D * N_SUMMARIES
         G = np.outer(r, model_params.coeffs[:n_hcols]).reshape(N, D, N_SUMMARIES)
         d_C, d_phi_plus, d_phi_minus = backprop_summaries(X, M, summary_params, G)
-    return loss, GradientSet(d_coeffs, d_C, d_phi_plus, d_phi_minus)
+    return loss, GradientSet(d_coeffs, d_bias, d_C, d_phi_plus, d_phi_minus)
 
 
 @dataclass
@@ -131,8 +143,9 @@ def finite_difference_check(
 ):
     """Compare analytic gradients against central differences.
 
-    Covers every C and phi entry plus n_coeff_samples random coefficients
-    (and the bias).  Relative error uses max(1e-8, |a| + |n|) scaling.
+    Covers n_coeff_samples random coefficients and every entry of the
+    other blocks, in BLOCKS order.  Relative error uses max(1e-8, |a| + |n|)
+    scaling.
     """
     if eps_fd <= 0:
         raise ValueError("eps_fd must be positive")
@@ -140,48 +153,28 @@ def finite_difference_check(
         summary_params, model_params, batch, config, weights=weights
     )
 
-    def fd(apply_bump):
-        def at(delta):
-            sp = summary_params.copy()
-            mp = model_params.copy()
-            apply_bump(sp, mp, delta)
-            return total_loss(sp, mp, batch, config, weights=weights)
-
-        return (at(eps_fd) - at(-eps_fd)) / (2.0 * eps_fd)
-
-    entries = []
-
-    def record(block, index, analytic, bump):
-        numeric = fd(bump)
-        rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-        entries.append(FDEntry(block, index, float(analytic), float(numeric), rel))
-
-    D, I = summary_params.C.shape
-    for d in range(D):
-        for i in range(I):
-            def bump(sp, mp, delta, d=d, i=i):
-                sp.C[d, i] += delta
-            record("C", (d, i), grads.d_C[d, i], bump)
-    for d in range(D):
-        def bump_p(sp, mp, delta, d=d):
-            sp.phi_plus[d] += delta
-        record("phi_plus", (d,), grads.d_phi_plus[d], bump_p)
-
-        def bump_m(sp, mp, delta, d=d):
-            sp.phi_minus[d] += delta
-        record("phi_minus", (d,), grads.d_phi_minus[d], bump_m)
+    def loss_at(name, index, delta):
+        sp, mp = summary_params.copy(), model_params.copy()
+        owner = block_owner(name, sp, mp)
+        value = np.array(getattr(owner, name), dtype=float)
+        value[index] += delta
+        setattr(owner, name, value)
+        return total_loss(sp, mp, batch, config, weights=weights)
 
     rng = np.random.default_rng(seed)
     F = model_params.n_features
     picks = rng.choice(F, size=min(n_coeff_samples, F), replace=False)
-    for j in picks:
-        def bump_c(sp, mp, delta, j=j):
-            mp.coeffs[j] += delta
-        record("coeffs", (int(j),), grads.d_coeffs[j], bump_c)
-
-    def bump_b(sp, mp, delta):
-        mp.bias += delta
-    record("bias", (), grads.d_coeffs[-1], bump_b)
+    entries = []
+    for name in BLOCKS:
+        grad = np.asarray(getattr(grads, "d_" + name))
+        indices = ([(int(j),) for j in picks] if name == "coeffs"
+                   else np.ndindex(grad.shape))
+        for index in indices:
+            analytic = float(grad[index])
+            up, down = loss_at(name, index, eps_fd), loss_at(name, index, -eps_fd)
+            numeric = float((up - down) / (2.0 * eps_fd))
+            rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            entries.append(FDEntry(name, index, analytic, numeric, rel))
 
     worst = max(entries, key=lambda e: e.rel_error)
     return FDReport(worst.rel_error, worst, entries)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,18 +124,13 @@ def assemble_features(H, S, X, M, mode):
     return np.concatenate(cols, axis=1)
 
 
-def predict_from_design(design, params):
-    """Predicted probabilities sigmoid(design @ coeffs + bias)."""
-    return sigmoid(design @ params.coeffs + params.bias)
-
-
 def predict(batch, summary_params, model_params, mode):
     """End-to-end predicted probabilities for a normalized batch."""
     H = None
     if mode in ("relaxed", "hard"):
         H = compute_summary_tensor(batch.X, batch.M, summary_params, mode)
     design = assemble_features(H, batch.S, batch.X, batch.M, mode)
-    return predict_from_design(design, model_params)
+    return sigmoid(design @ model_params.coeffs + model_params.bias)
 
 
 def weighted_bce(y_hat, y, weights):
@@ -236,12 +231,23 @@ def save_checkpoint(path, summary_params, model_params, stats, config,
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _array(path, doc, key, shape):
+    """doc[key] as a float array of the given shape."""
+    try:
+        value = np.array(doc[key], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != shape:
+        raise CheckpointFormatError(f"{path}: {key} is not a {shape} array")
+    return value
+
+
 def load_checkpoint(path):
     """Load a checkpoint document; returns a dict of reconstructed objects."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not valid JSON: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: undecodable or not JSON
+        raise CheckpointFormatError(f"{path}: not readable JSON: {exc}") from None
     missing = [f for f in _CKPT_FIELDS if f not in doc]
     if missing:
         raise CheckpointFormatError(f"{path}: missing fields {missing}")
@@ -254,29 +260,35 @@ def load_checkpoint(path):
                 "static_mean", "static_std", "population_median"):
         if key not in norm:
             raise CheckpointFormatError(f"{path}: normalization missing {key!r}")
-    stats = NormalizationStats(
-        np.array(norm["mean"], dtype=float),
-        np.array(norm["std"], dtype=float),
-        np.array(norm["static_mean"], dtype=float),
-        np.array(norm["static_std"], dtype=float),
-        np.array(norm["population_median"], dtype=float),
-    )
+    config_keys = {f.name for f in fields(TrainConfig)}
+    if set(doc["config"]) != config_keys:
+        raise CheckpointFormatError(
+            f"{path}: config keys differ from TrainConfig: unknown "
+            f"{sorted(set(doc['config']) - config_keys)}, "
+            f"missing {sorted(config_keys - set(doc['config']))}"
+        )
+    D, P = len(norm["variable_names"]), len(norm["static_names"])
+    stats = NormalizationStats(*(
+        _array(path, norm, key, shape) for key, shape in (
+            ("mean", (D,)), ("std", (D,)), ("static_mean", (P,)),
+            ("static_std", (P,)), ("population_median", (D,)),
+        )
+    ))
     summary_params = summaries.SummaryParams(
-        np.array(doc["C"], dtype=float),
-        np.array(doc["phi_plus"], dtype=float),
-        np.array(doc["phi_minus"], dtype=float),
+        _array(path, doc, "C", (D, N_SUMMARIES)),
+        _array(path, doc, "phi_plus", (D,)),
+        _array(path, doc, "phi_minus", (D,)),
         float(doc["tau_temp"]),
     )
     model_params = ModelParams(
-        np.array(doc["coeffs"], dtype=float), float(doc["bias"]),
-        list(doc["feature_names"]),
+        _array(path, doc, "coeffs", (len(doc["feature_names"]),)),
+        float(doc["bias"]), list(doc["feature_names"]),
     )
-    config = TrainConfig(**doc["config"])
     return {
         "summary_params": summary_params,
         "model_params": model_params,
         "stats": stats,
-        "config": config,
+        "config": TrainConfig(**doc["config"]),
         "variable_names": list(norm["variable_names"]),
         "static_names": list(norm["static_names"]),
         "T": int(doc["T"]),

@@ -163,19 +163,6 @@ def _time_axis(T):
     return np.arange(1, T + 1, dtype=float)
 
 
-def compute_weights(C, T, tau_temp):
-    """Soft window weights, shape (T, I, D): sigmoid((t - T + C) / tau)."""
-    C = np.asarray(C, dtype=float)
-    # (T, 1, 1) + (I, D) -> (T, I, D)
-    return sigmoid((_time_axis(T)[:, None, None] - T + C.T[None, :, :]) / tau_temp)
-
-
-def compute_weights_hard(C, T):
-    """Hard window indicators, shape (T, I, D): 1(t > T - C)."""
-    C = np.asarray(C, dtype=float)
-    return (_time_axis(T)[:, None, None] > T - C.T[None, :, :]).astype(float)
-
-
 def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False):
     """Yield ``(rows, H, dH_dC, dH_dphi)`` for each row block of the batch.
 
@@ -364,14 +351,14 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
 
 
 def window_weights(params, T, mode):
-    """(D, I, T) windows of every (variable, summary) cell for a mode."""
+    """(D, I, T) windows of every (variable, summary) cell for a mode:
+    sigmoid((t - T + C) / tau) relaxed, the indicator 1(t > T - C) hard."""
+    t = _time_axis(T)
     if mode == "relaxed":
-        W = compute_weights(params.C, T, params.tau_temp)
-    elif mode == "hard":
-        W = compute_weights_hard(params.C, T)
-    else:
-        raise ValueError(f"unknown summary mode: {mode!r}")
-    return np.ascontiguousarray(W.transpose(2, 1, 0))
+        return sigmoid((t - T + params.C[..., None]) / params.tau_temp)
+    if mode == "hard":
+        return (t > T - params.C[..., None]).astype(float)
+    raise ValueError(f"unknown summary mode: {mode!r}")
 
 
 def compute_summary_tensor(X, M, params, mode="relaxed"):

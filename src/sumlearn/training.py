@@ -11,7 +11,7 @@ import numpy as np
 from .data import class_weights
 from .errors import DataError, NumericalError
 from .evaluate import auc
-from .gradients import loss_and_gradients
+from .gradients import BLOCKS, block_owner, loss_and_gradients
 from .model import ModelParams, feature_names_for, predict, total_loss
 from .summaries import N_SUMMARIES, SummaryParams
 
@@ -94,15 +94,13 @@ def _evaluate(summary_params, model_params, batch, config, weights):
     return loss, auc(scores, batch.y)
 
 
-def _check_windows(C, T, epoch):
-    """Raise NumericalError naming the first window length outside [0, T]
-    (after clipping, only a NaN can be)."""
-    outside = ~((C >= 0) & (C <= T))
-    if outside.any():
-        d, i = np.argwhere(outside)[0]
+def _check_finite(name, value, epoch):
+    """Raise NumericalError naming the first non-finite entry of a block."""
+    if not np.isfinite(value).all():
+        entry = tuple(int(k) for k in np.argwhere(~np.isfinite(value))[0])
         raise NumericalError(
-            f"window length left [0, {T}] at epoch {epoch} "
-            f"(block: C, entry ({d}, {i}) = {C[d, i]})"
+            f"non-finite {name} after the update at epoch {epoch} "
+            f"(block: {name}, entry {entry})"
         )
 
 
@@ -111,7 +109,7 @@ def train(batch_train, batch_val, config):
 
     Minibatch class weights use the global train-split frequencies so the
     objective is stationary across batches.  C is clamped to [0, T] after
-    every step.  A non-finite loss or window length aborts with
+    every step.  A non-finite loss or parameter entry aborts with
     NumericalError.
     """
     rng = np.random.default_rng(config.seed)
@@ -122,14 +120,10 @@ def train(batch_train, batch_val, config):
     omega_val = class_weights(batch_val.y)
 
     states = {
-        "coeffs": AdamState.like(model_params.coeffs),
-        "bias": AdamState.like(0.0),
-        "C": AdamState.like(summary_params.C),
-        "phi_plus": AdamState.like(summary_params.phi_plus),
-        "phi_minus": AdamState.like(summary_params.phi_minus),
+        name: AdamState.like(
+            getattr(block_owner(name, summary_params, model_params), name))
+        for name in BLOCKS
     }
-    lr = config.learning_rate
-    lr_sum = config.summary_learning_rate
 
     history = []
     best_val_auc = -np.inf
@@ -146,23 +140,16 @@ def train(batch_train, batch_val, config):
             loss, grads = loss_and_gradients(
                 summary_params, model_params, mb, config, weights=omega[idx]
             )
-            model_params.coeffs = adam_step(
-                model_params.coeffs, grads.d_coeffs[:-1], states["coeffs"], lr
-            )
-            model_params.bias = float(
-                adam_step(model_params.bias, grads.d_coeffs[-1], states["bias"], lr)
-            )
-            summary_params.C = np.clip(
-                adam_step(summary_params.C, grads.d_C, states["C"], lr_sum), 0.0, T
-            )
-            _check_windows(summary_params.C, T, epoch)
-            summary_params.phi_plus = adam_step(
-                summary_params.phi_plus, grads.d_phi_plus, states["phi_plus"], lr_sum
-            )
-            summary_params.phi_minus = adam_step(
-                summary_params.phi_minus, grads.d_phi_minus,
-                states["phi_minus"], lr_sum,
-            )
+            for name in BLOCKS:
+                owner = block_owner(name, summary_params, model_params)
+                lr = (config.learning_rate if owner is model_params
+                      else config.summary_learning_rate)
+                value = adam_step(getattr(owner, name), getattr(grads, "d_" + name),
+                                  states[name], lr)
+                if name == "C":
+                    value = np.clip(value, 0.0, T)
+                _check_finite(name, value, epoch)
+                setattr(owner, name, value)
         stopped_epoch = epoch
         if epoch % config.eval_interval == 0 or epoch == config.max_epochs:
             train_loss = total_loss(

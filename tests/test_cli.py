@@ -1,9 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from sumlearn.cli import main, read_config
+from sumlearn import SynthSpec, TrainConfig
+from sumlearn.cli import FIELD_TYPES, build_parser, main, read_config
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +196,99 @@ class TestDeterminism:
             a = (tmp_path / "a" / "seed_3" / name).read_bytes()
             b = (tmp_path / "b" / "seed_3" / name).read_bytes()
             assert a == b, name
+
+
+def assert_fails(capsys, code, expected_code, needle):
+    """A typed failure: the exit code and one stderr line naming the cause."""
+    err = capsys.readouterr().err
+    assert code == expected_code, err
+    assert needle in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestConfigSchema:
+    def test_every_flag_stores_into_a_field_or_a_command_argument(self):
+        common = {"help", "out", "config"}
+        cohort = {"cohort_dir", "timeseries", "static", "labels", "categorical"}
+        commands = {
+            "synth": (SynthSpec, common),
+            "train": (TrainConfig, common | cohort | {"seeds", "t", "test_fraction"}),
+        }
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        for command, (cls, arguments) in commands.items():
+            fields = {f.name for f in dataclasses.fields(cls)}
+            for action in sub.choices[command]._actions:
+                assert action.dest in fields | arguments, (command, action.dest)
+        assert set(FIELD_TYPES.values()) <= {"int", "float", "str"}
+
+    @pytest.mark.parametrize("key", ["epochs", "learning_rat"])
+    def test_unknown_key_is_1(self, cohort_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"mode = relaxed\n{key} = 1\n")
+        code = main([
+            "train", "--cohort-dir", str(cohort_dir), "--out", str(tmp_path / "run"),
+            "--t", "12", "--config", str(cfg),
+        ])
+        assert_fails(capsys, code, 1, f"line 2: unknown key {key!r}")
+
+    def test_one_file_serves_synth_and_train(self, tmp_path):
+        cfg = tmp_path / "both.cfg"
+        cfg.write_text(
+            "n_examples = 200\nn_variables = 3\nT = 8\nseed = 2\n"
+            "max_epochs = 3\neval_interval = 3\nbatch_size = 32\n"
+        )
+        cohort, run = tmp_path / "cohort", tmp_path / "run"
+        assert main(["synth", "--out", str(cohort), "--config", str(cfg)]) == 0
+        assert main([
+            "train", "--cohort-dir", str(cohort), "--out", str(run), "--t", "8",
+            "--config", str(cfg),
+        ]) == 0
+        ckpt = json.loads((run / "seed_0" / "model.ckpt").read_text())
+        assert (ckpt["D"], ckpt["T"]) == (3, 8)
+        assert ckpt["config"]["max_epochs"] == 3
+        assert ckpt["config"]["batch_size"] == 32
+
+
+class TestTypedFailures:
+    @pytest.mark.parametrize("text, needle", [
+        (None, "cannot read config file"),
+        ("max_epochs = ten\n", "line 1: max_epochs = 'ten' is not int"),
+        ("alpha = 1e-5\nlearning_rate = fast\n", "line 2: learning_rate"),
+    ], ids=["missing", "int", "float"])
+    def test_bad_config_is_1(self, cohort_dir, tmp_path, capsys, text, needle):
+        cfg = tmp_path / "run.cfg"
+        if text is not None:
+            cfg.write_text(text)
+        code = main([
+            "train", "--cohort-dir", str(cohort_dir), "--out", str(tmp_path / "run"),
+            "--config", str(cfg),
+        ])
+        assert_fails(capsys, code, 1, needle)
+
+    def test_unreadable_config_is_1(self, tmp_path, capsys):
+        code = main(["synth", "--out", str(tmp_path / "c"), "--config", str(tmp_path)])
+        assert_fails(capsys, code, 1, f"cannot read config file {tmp_path}")
+
+    def test_missing_checkpoint_is_2(self, cohort_dir, tmp_path, capsys):
+        missing = tmp_path / "absent.ckpt"
+        code = main(["eval", "--checkpoint", str(missing), "--cohort-dir", str(cohort_dir)])
+        assert_fails(capsys, code, 2, str(missing))
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: doc["C"].pop(), "C is not a (4, 12) array"),
+        (lambda doc: doc["C"][1].pop(), "C is not a (4, 12) array"),
+        (lambda doc: doc["phi_plus"].pop(), "phi_plus is not a (4,) array"),
+        (lambda doc: doc["phi_minus"].append(0.0), "phi_minus is not a (4,) array"),
+        (lambda doc: doc["config"].update(epochs=1), "unknown ['epochs']"),
+        (lambda doc: doc["config"].pop("mode"), "missing ['mode']"),
+    ], ids=["short_C", "ragged_C", "short_phi_plus", "long_phi_minus",
+            "unknown_config_key", "missing_config_key"])
+    def test_malformed_checkpoint_is_2(self, cohort_dir, trained_dir, tmp_path,
+                                       capsys, edit, needle):
+        doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
+        edit(doc)
+        path = tmp_path / "edited.ckpt"
+        path.write_text(json.dumps(doc))
+        code = main(["eval", "--checkpoint", str(path), "--cohort-dir", str(cohort_dir)])
+        assert_fails(capsys, code, 2, needle)

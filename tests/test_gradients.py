@@ -70,7 +70,8 @@ class TestGradientStructure:
         batch, sp, mp, config = make_setup(rng)
         loss, grads = loss_and_gradients(sp, mp, batch, config)
         assert np.isfinite(loss)
-        assert grads.d_coeffs.shape == (len(mp.coeffs) + 1,)
+        assert grads.d_coeffs.shape == mp.coeffs.shape
+        assert np.ndim(grads.d_bias) == 0
         assert grads.d_C.shape == sp.C.shape
         assert grads.d_phi_plus.shape == sp.phi_plus.shape
         assert grads.d_phi_minus.shape == sp.phi_minus.shape
@@ -96,6 +97,14 @@ class TestGradientStructure:
         _, grads = loss_and_gradients(sp, mp, batch, config)
         assert np.all(grads.d_C == 0)
         assert np.all(grads.d_phi_plus == 0)
+
+    def test_non_finite_loss_names_the_design_column(self, rng):
+        from sumlearn.errors import NumericalError
+
+        batch, sp, mp, config = make_setup(rng)
+        batch.S[2, 1] = np.inf
+        with pytest.raises(NumericalError, match="design column: static:s1"):
+            loss_and_gradients(sp, mp, batch, config)
 
     def test_loss_matches_total_loss(self, rng):
         from sumlearn import total_loss

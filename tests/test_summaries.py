@@ -12,8 +12,6 @@ from sumlearn.summaries import (
     MEAN,
     SLOPE,
     VARIANCE,
-    compute_weights,
-    compute_weights_hard,
     s_ever_measured,
     s_first_measured,
     s_frac_above,
@@ -27,6 +25,7 @@ from sumlearn.summaries import (
     s_switch_count,
     s_variance,
     sigmoid,
+    window_weights,
 )
 
 from conftest import FIX_A, FIX_B, FIX_C, full_window_params
@@ -35,33 +34,39 @@ from conftest import FIX_A, FIX_B, FIX_C, full_window_params
 TOL = 1e-9
 
 
+def windows(C, T, tau=0.1, mode="relaxed"):
+    """(D, I, T) windows for window lengths C alone."""
+    D = len(C)
+    return window_weights(SummaryParams(C, np.zeros(D), np.zeros(D), tau), T, mode)
+
+
 class TestWeights:
     def test_full_window_weight_at_first_hour(self):
-        w = compute_weights(np.full((1, 1), 24.0), 24, 0.1)
+        w = windows(np.full((1, 1), 24.0), 24)
         assert w[0, 0, 0] == pytest.approx(sigmoid(10.0), abs=TOL)
 
     def test_zero_window_weight_at_final_hour(self):
-        w = compute_weights(np.zeros((1, 1)), 24, 0.1)
-        assert w[-1, 0, 0] == pytest.approx(0.5, abs=TOL)
+        w = windows(np.zeros((1, 1)), 24)
+        assert w[0, 0, -1] == pytest.approx(0.5, abs=TOL)
 
     def test_half_window_early_hour_is_tiny(self):
-        w = compute_weights(np.full((1, 1), 12.0), 24, 0.1)
-        assert w[5, 0, 0] == pytest.approx(sigmoid(-60.0), abs=1e-20)
+        w = windows(np.full((1, 1), 12.0), 24)
+        assert w[0, 0, 5] == pytest.approx(sigmoid(-60.0), abs=1e-20)
 
     def test_hard_weights_are_indicators(self):
-        w = compute_weights_hard(np.full((1, 1), 2.0), 4)
-        assert w[:, 0, 0].tolist() == [0.0, 0.0, 1.0, 1.0]
-        assert compute_weights_hard(np.full((1, 1), 4.0), 4).all()
-        assert not compute_weights_hard(np.zeros((1, 1)), 4).any()
+        w = windows(np.full((1, 1), 2.0), 4, mode="hard")
+        assert w[0, 0, :].tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert windows(np.full((1, 1), 4.0), 4, mode="hard").all()
+        assert not windows(np.zeros((1, 1)), 4, mode="hard").any()
 
     def test_monotone_in_C(self, rng):
         c1 = rng.uniform(0, 12, (3, 12))
         c2 = c1 + rng.uniform(0, 3, c1.shape)
-        assert (compute_weights(c2, 12, 0.1) >= compute_weights(c1, 12, 0.1)).all()
+        assert (windows(c2, 12) >= windows(c1, 12)).all()
 
     def test_monotone_in_t(self):
-        w = compute_weights(np.full((2, 12), 7.3), 24, 0.5)
-        assert (np.diff(w, axis=0) > 0).all()
+        w = windows(np.full((2, 12), 7.3), 24, tau=0.5)
+        assert (np.diff(w, axis=-1) > 0).all()
 
 
 class TestMean:
@@ -436,11 +441,7 @@ def _ref_slope_terms(x, v, t):
 def _reference_summaries(X, M, params, mode):
     X, M = X.astype(LD), M.astype(LD)
     N, D, T = X.shape
-    if mode == "relaxed":
-        W = compute_weights(params.C, T, params.tau_temp)
-    else:
-        W = compute_weights_hard(params.C, T)
-    W = W.transpose(2, 1, 0).astype(LD)  # (D, I, T)
+    W = window_weights(params, T, mode).astype(LD)  # (D, I, T)
     tau = LD(params.tau_temp)
     t = np.arange(1, T + 1).astype(LD)
     if mode == "relaxed":

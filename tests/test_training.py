@@ -134,3 +134,20 @@ class TestTrain:
         va = random_batch(rng, n=20, d=2, t=8)
         with pytest.raises(NumericalError, match=r"block: C, entry \(1, 3\)"):
             train(tr, va, tiny_config(max_epochs=10, eval_interval=5))
+
+    @pytest.mark.parametrize("block, entry", [
+        ("phi_plus", (1,)), ("phi_minus", (0,)), ("coeffs", (3,)),
+    ])
+    def test_non_finite_update_names_its_block(self, rng, monkeypatch, block, entry):
+        real = training.loss_and_gradients
+
+        def nan_grads(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            getattr(grads, "d_" + block)[entry] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "loss_and_gradients", nan_grads)
+        tr = random_batch(rng, n=40, d=2, t=8)
+        va = random_batch(rng, n=20, d=2, t=8)
+        with pytest.raises(NumericalError, match=rf"block: {block}, entry \({entry[0]},\)"):
+            train(tr, va, tiny_config(max_epochs=10, eval_interval=5))

@@ -10,6 +10,7 @@ A cohort moves through two representations:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -104,19 +105,32 @@ class NormalizationStats:
 
 
 def _read_rows(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Yield the stripped header of a CSV file, then (line number, row) of
+    each non-blank row.
+
+    A file that cannot be opened is a DataError.  The header must start
+    with ``expected_header`` (SchemaError otherwise, also for an empty
+    file), and a row with fewer fields is a ParseError naming its line.
+    """
+    n_fields = len(expected_header)
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        if [h.strip() for h in header[: len(expected_header)]] != expected_header:
-            raise SchemaError(
-                f"{path}: expected header {expected_header}, got {header}"
-            )
+        header = [h.strip() for h in next(reader, [])]
+        if not header:
+            raise SchemaError(f"{path}: empty file")
+        if header[:n_fields] != expected_header:
+            raise SchemaError(f"{path}: expected header {expected_header}, got {header}")
+        yield header
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
+            if len(row) < n_fields:
+                raise ParseError(f"expected {n_fields} fields, got {len(row)}",
+                                 line=line_no)
             yield line_no, row
 
 
@@ -136,7 +150,9 @@ def ingest_csv(
     """
     # labels
     label_of = {}
-    for line_no, row in _read_rows(labels_path, ["patient_id", "label"]):
+    rows = _read_rows(labels_path, ["patient_id", "label"])
+    next(rows)  # the header
+    for line_no, row in rows:
         pid = row[0].strip()
         try:
             lab = int(row[1])
@@ -152,11 +168,9 @@ def ingest_csv(
     series = {}  # (pid, var, hour) -> (value, line)
     seen_vars = set()
     fixed = list(variables) if variables is not None else None
-    for line_no, row in _read_rows(
-        timeseries_path, ["patient_id", "variable", "hour", "value"]
-    ):
-        if len(row) < 4:
-            raise ParseError(f"expected 4 fields, got {len(row)}", line=line_no)
+    rows = _read_rows(timeseries_path, ["patient_id", "variable", "hour", "value"])
+    next(rows)  # the header
+    for line_no, row in rows:
         pid, var = row[0].strip(), row[1].strip()
         try:
             hour = int(row[2])
@@ -165,7 +179,10 @@ def ingest_csv(
         try:
             value = float(row[3])
         except ValueError:
-            raise ParseError(f"bad value {row[3]!r}", line=line_no) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad value {row[3]!r} (not a finite number)",
+                             line=line_no)
         if not 1 <= hour <= T:
             raise RangeError(
                 f"line {line_no}: hour {hour} outside [1, {T}] for patient {pid}"
@@ -184,24 +201,19 @@ def ingest_csv(
     variable_names = fixed if fixed is not None else sorted(seen_vars)
 
     # static
-    with open(static_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if not header or header[0] != "patient_id":
-            raise SchemaError(f"{static_path}: first column must be patient_id")
-        raw_cols = header[1:]
-        static_rows = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            pid = row[0].strip()
-            if pid in static_rows:
-                raise ConflictError(f"duplicate static row for patient {pid}")
-            if len(row) != len(header):
-                raise ParseError(
-                    f"expected {len(header)} fields, got {len(row)}", line=line_no
-                )
-            static_rows[pid] = [c.strip() for c in row[1:]]
+    rows = _read_rows(static_path, ["patient_id"])
+    header = next(rows)
+    raw_cols = header[1:]
+    static_rows = {}
+    for line_no, row in rows:
+        pid = row[0].strip()
+        if pid in static_rows:
+            raise ConflictError(f"duplicate static row for patient {pid}")
+        if len(row) != len(header):
+            raise ParseError(
+                f"expected {len(header)} fields, got {len(row)}", line=line_no
+            )
+        static_rows[pid] = [c.strip() for c in row[1:]]
 
     # cohort = labelled patients that have at least one series row
     pids_with_series = {pid for (pid, _, _) in series}
@@ -247,10 +259,13 @@ def ingest_csv(
                 try:
                     S[n, k] = float(row[j])
                 except ValueError:
+                    S[n, k] = math.nan
+                if not math.isfinite(S[n, k]):
                     raise ParseError(
-                        f"non-numeric static value {row[j]!r} for patient {pid} "
-                        f"column {raw_cols[j]!r} (declare it categorical?)"
-                    ) from None
+                        f"static value {row[j]!r} for patient {pid} column "
+                        f"{raw_cols[j]!r} is not a finite number (declare it "
+                        "categorical?)"
+                    )
             else:
                 S[n, k] = 1.0 if row[j] == cat else 0.0
 

@@ -6,7 +6,9 @@ threshold indicators).  Summary ``i`` of variable ``d`` depends on the one
 window length ``C[d, i]`` (and the threshold fractions on one threshold),
 so the summary layer needs only ``dH[n, d, i]/dC[d, i]`` and ``dH/dphi``,
 which the summary kernel computes from the same weighted time sums taken
-against ``dw/dC = w (1 - w) / tau``; ``dL/dC = sum_n dL/dH * dH/dC``.
+against ``dw/dC = w (1 - w) / tau``.  A relaxed step runs that tangent pass
+once: its H feeds the head and the loss, and after the head its tangents
+are contracted with G = dL/dH, ``dL/dC = sum_n G * dH/dC``.
 
 The epsilon guards inside the weighted means leave tiny residuals
 (sum of v * deviation = mean * eps instead of zero); their derivative
@@ -34,8 +36,6 @@ from .summaries import (
     N_SUMMARIES,
     compute_summary_tensor,
     sigmoid,
-    summary_blocks,
-    window_weights,
 )
 
 
@@ -64,19 +64,11 @@ class GradientSet:
     d_phi_minus: np.ndarray  # (D,)
 
 
-def backprop_summaries(X, M, params, G):
-    """Accumulate (d_C, d_phi_plus, d_phi_minus) from dL/dH = G (N, D, I):
-    the summary kernel's dH/dC and dH/dphi, block by block, against G."""
-    W = window_weights(params, X.shape[-1], "relaxed")
-    d_C = np.zeros_like(params.C)
-    d_phi = np.zeros((2, X.shape[1]))
-    for rows, _, dH_dC, dH_dphi in summary_blocks(
-        X, M, W, params.phi_plus, params.phi_minus, params.tau_temp, tangent=True,
-    ):
-        g = G[rows]
-        d_C += (g * dH_dC).sum(0)
-        d_phi += (g[:, :, [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) * dH_dphi).sum(1)
-    return d_C, d_phi[0], d_phi[1]
+def backprop_summaries(G, dH_dC, dH_dphi):
+    """(d_C, d_phi_plus, d_phi_minus): dL/dH = G (N, D, I) contracted with
+    the kernel's tangents dH/dC (N, D, I) and dH/dphi (2, N, D)."""
+    d_phi = (G[:, :, [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) * dH_dphi).sum(1)
+    return (G * dH_dC).sum(0), d_phi[0], d_phi[1]
 
 
 def loss_and_gradients(summary_params, model_params, batch, config, weights=None):
@@ -89,7 +81,10 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
     mode = config.mode
 
     H = None
-    if mode in ("relaxed", "hard"):
+    if mode == "relaxed":
+        H, dH_dC, dH_dphi = compute_summary_tensor(X, M, summary_params, mode,
+                                                   tangent=True)
+    elif mode == "hard":
         H = compute_summary_tensor(X, M, summary_params, mode)
     design = assemble_features(H, S, X, M, mode)
     z = design @ model_params.coeffs + model_params.bias
@@ -114,7 +109,7 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
     if mode == "relaxed":
         n_hcols = D * N_SUMMARIES
         G = np.outer(r, model_params.coeffs[:n_hcols]).reshape(N, D, N_SUMMARIES)
-        d_C, d_phi_plus, d_phi_minus = backprop_summaries(X, M, summary_params, G)
+        d_C, d_phi_plus, d_phi_minus = backprop_summaries(G, dH_dC, dH_dphi)
     return loss, GradientSet(d_coeffs, d_bias, d_C, d_phi_plus, d_phi_minus)
 
 

@@ -242,12 +242,27 @@ def _array(path, doc, key, shape):
     return value
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _value(path, name, value, kind, positive=False):
+    """``value``, checked to be a JSON value of field type ``kind`` ('int',
+    'float' or 'str'; an int passes as a float, a bool as neither)."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise CheckpointFormatError(f"{path}: {name} = {value!r} is not {kind}")
+    if positive and not value > 0:
+        raise CheckpointFormatError(f"{path}: {name} = {value!r} is not positive")
+    return value
+
+
 def load_checkpoint(path):
     """Load a checkpoint document; returns a dict of reconstructed objects."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # ValueError: undecodable or not JSON
         raise CheckpointFormatError(f"{path}: not readable JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointFormatError(f"{path}: not a JSON object")
     missing = [f for f in _CKPT_FIELDS if f not in doc]
     if missing:
         raise CheckpointFormatError(f"{path}: missing fields {missing}")
@@ -255,11 +270,19 @@ def load_checkpoint(path):
         raise CheckpointFormatError(
             f"{path}: unsupported version {doc['version']!r}"
         )
+    for key in ("normalization", "config"):
+        if not isinstance(doc[key], dict):
+            raise CheckpointFormatError(f"{path}: {key} is not a JSON object")
     norm = doc["normalization"]
     for key in ("variable_names", "static_names", "mean", "std",
                 "static_mean", "static_std", "population_median"):
         if key not in norm:
             raise CheckpointFormatError(f"{path}: normalization missing {key!r}")
+    for name, names in (("feature_names", doc["feature_names"]),
+                        ("variable_names", norm["variable_names"]),
+                        ("static_names", norm["static_names"])):
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise CheckpointFormatError(f"{path}: {name} is not a list of names")
     config_keys = {f.name for f in fields(TrainConfig)}
     if set(doc["config"]) != config_keys:
         raise CheckpointFormatError(
@@ -267,6 +290,10 @@ def load_checkpoint(path):
             f"{sorted(set(doc['config']) - config_keys)}, "
             f"missing {sorted(config_keys - set(doc['config']))}"
         )
+    for f in fields(TrainConfig):  # lr_summary may also be null
+        value = doc["config"][f.name]
+        if value is not None or f.default is not None:
+            _value(path, f"config.{f.name}", value, f.type)
     D, P = len(norm["variable_names"]), len(norm["static_names"])
     stats = NormalizationStats(*(
         _array(path, norm, key, shape) for key, shape in (
@@ -278,11 +305,11 @@ def load_checkpoint(path):
         _array(path, doc, "C", (D, N_SUMMARIES)),
         _array(path, doc, "phi_plus", (D,)),
         _array(path, doc, "phi_minus", (D,)),
-        float(doc["tau_temp"]),
+        float(_value(path, "tau_temp", doc["tau_temp"], "float", positive=True)),
     )
     model_params = ModelParams(
         _array(path, doc, "coeffs", (len(doc["feature_names"]),)),
-        float(doc["bias"]), list(doc["feature_names"]),
+        float(_value(path, "bias", doc["bias"], "float")), list(doc["feature_names"]),
     )
     return {
         "summary_params": summary_params,
@@ -291,6 +318,6 @@ def load_checkpoint(path):
         "config": TrainConfig(**doc["config"]),
         "variable_names": list(norm["variable_names"]),
         "static_names": list(norm["static_names"]),
-        "T": int(doc["T"]),
+        "T": _value(path, "T", doc["T"], "int", positive=True),
         "seed": doc["seed"],
     }

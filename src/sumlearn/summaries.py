@@ -22,7 +22,9 @@ stays in cache and its buffers are reused rather than faulted in again:
   ``(sum v)^2 - sum v^2`` are summed over pairs ``s < t`` for that reason.
 * Tangent: summary ``i`` of variable ``d`` depends on the one window
   ``C[d, i]``, so ``dH/dC`` is the same closed form over the same sums
-  taken against ``dw/dC``; ``gradients`` contracts it with ``dL/dH``.
+  taken against ``dw/dC``.  The tangent pass yields H too, so a relaxed
+  training step runs the kernel once (``compute_summary_tensor(...,
+  tangent=True)``); ``gradients`` contracts dH/dC with ``dL/dH``.
 
 Hard mode is the same kernel with indicator weights and the step threshold
 gate ``s(0) = 1/2``, the tau -> 0 limit of the sigmoid.  Hours run
@@ -361,22 +363,28 @@ def window_weights(params, T, mode):
     raise ValueError(f"unknown summary mode: {mode!r}")
 
 
-def compute_summary_tensor(X, M, params, mode="relaxed"):
+def compute_summary_tensor(X, M, params, mode="relaxed", tangent=False):
     """All I summaries for every (example, variable), shape (N, D, I).
 
     mode="relaxed" uses soft windows and soft threshold indicators;
     mode="hard" uses exact indicators throughout (no tau dependence).
+    With ``tangent`` (relaxed only) the same kernel pass also gives the
+    tangents: returns (H, dH/dC (N, D, I), dH/dphi (2, N, D)).
     """
     X = np.asarray(X, dtype=float)
     M = np.asarray(M, dtype=float)
     W = window_weights(params, X.shape[-1], mode)
     H = np.empty(X.shape[:2] + (N_SUMMARIES,))
-    for rows, h, _, _ in summary_blocks(
+    if tangent:
+        dH_dC, dH_dphi = np.empty_like(H), np.empty((2,) + X.shape[:2])
+    for rows, h, dh_dc, dh_dphi in summary_blocks(
         X, M, W, params.phi_plus, params.phi_minus, params.tau_temp,
-        hard=mode == "hard",
+        hard=mode == "hard", tangent=tangent,
     ):
         H[rows] = h
-    return H
+        if tangent:
+            dH_dC[rows], dH_dphi[:, rows] = dh_dc, dh_dphi
+    return (H, dH_dC, dH_dphi) if tangent else H
 
 
 def _view(i, X, M, w=1.0, phi=0.0, tau_temp=1.0):

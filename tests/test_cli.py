@@ -292,3 +292,46 @@ class TestTypedFailures:
         path.write_text(json.dumps(doc))
         code = main(["eval", "--checkpoint", str(path), "--cohort-dir", str(cohort_dir)])
         assert_fails(capsys, code, 2, needle)
+
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: 5, "not a JSON object"),
+        (lambda doc: {**doc, "T": "x"}, "T = 'x' is not int"),
+        (lambda doc: {**doc, "config": {**doc["config"], "learning_rate": "fast"}},
+         "config.learning_rate = 'fast' is not float"),
+        (lambda doc: {**doc, "tau_temp": 0}, "tau_temp = 0 is not positive"),
+        (lambda doc: {**doc, "feature_names": 7}, "feature_names is not a list"),
+    ], ids=["not_an_object", "string_T", "string_learning_rate", "zero_tau_temp",
+            "feature_names_not_a_list"])
+    def test_checkpoint_value_of_wrong_type_is_2(self, cohort_dir, trained_dir,
+                                                 tmp_path, capsys, edit, needle):
+        doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
+        path = tmp_path / "edited.ckpt"
+        path.write_text(json.dumps(edit(doc)))
+        code = main(["eval", "--checkpoint", str(path), "--cohort-dir", str(cohort_dir)])
+        assert_fails(capsys, code, 2, f"{path}: {needle}")
+
+    @pytest.mark.parametrize("name, text, needle", [
+        ("static.csv", "", "static.csv: empty file"),
+        ("labels.csv", "patient_id,label\np1\n", "line 2: expected 2 fields, got 1"),
+        ("timeseries.csv", "patient_id,variable,hour,value\np1,{var},1,inf\n",
+         "line 2: bad value 'inf' (not a finite number)"),
+        ("static.csv", "patient_id,age\np1,nan\n",
+         "static value 'nan' for patient p1 column 'age' is not a finite number"),
+        ("static.csv", None, "static.csv: cannot read: No such file"),
+    ], ids=["empty_static", "short_label_row", "inf_value", "nan_static",
+            "missing_static"])
+    def test_malformed_cohort_is_2(self, trained_dir, tmp_path, capsys, name,
+                                   text, needle):
+        ckpt = trained_dir / "seed_0" / "model.ckpt"
+        var = json.loads(ckpt.read_text())["normalization"]["variable_names"][0]
+        files = {
+            "timeseries.csv": "patient_id,variable,hour,value\np1,{var},1,80\n",
+            "static.csv": "patient_id,age\np1,50\n",
+            "labels.csv": "patient_id,label\np1,1\n",
+            name: text,
+        }
+        for file_name, file_text in files.items():
+            if file_text is not None:
+                (tmp_path / file_name).write_text(file_text.format(var=var))
+        code = main(["eval", "--checkpoint", str(ckpt), "--cohort-dir", str(tmp_path)])
+        assert_fails(capsys, code, 2, needle)

@@ -64,6 +64,35 @@ class TestIngest:
             ingest_csv(*paths, T=4)
         assert err.value.line == len(rows) + 1
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "NaN"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        rows = BASIC_SERIES + [f"p2,hr,2,{value}\n"]
+        paths = write_cohort(tmp_path, rows, BASIC_STATIC, BASIC_LABELS)
+        with pytest.raises(ParseError, match="not a finite number") as err:
+            ingest_csv(*paths, T=4)
+        assert err.value.line == len(rows) + 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "old"])
+    def test_non_finite_static_value_names_patient_and_column(self, tmp_path,
+                                                              value):
+        static = ["p1,64\n", f"p2,{value}\n"]
+        paths = write_cohort(tmp_path, BASIC_SERIES, static, BASIC_LABELS)
+        with pytest.raises(ParseError, match="for patient p2 column 'age'"):
+            ingest_csv(*paths, T=4)
+
+    def test_empty_static_file_is_a_schema_error(self, tmp_path):
+        ts, st, lb = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)
+        st.write_text("")
+        with pytest.raises(SchemaError, match="empty file"):
+            ingest_csv(ts, st, lb, T=4)
+
+    def test_short_label_row_reports_line(self, tmp_path):
+        labels = ["p1,1\n", "p2\n"]
+        paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, labels)
+        with pytest.raises(ParseError, match="expected 2 fields, got 1") as err:
+            ingest_csv(*paths, T=4)
+        assert err.value.line == 3
+
     def test_hour_out_of_range(self, tmp_path):
         rows = BASIC_SERIES + ["p2,hr,9,80\n"]
         paths = write_cohort(tmp_path, rows, BASIC_STATIC, BASIC_LABELS)

@@ -65,6 +65,43 @@ class TestMultiBlock:
         assert report.max_rel_error < 1e-4, report.worst
 
 
+class TestFusedStep:
+    """A relaxed step takes H and its tangents from one kernel pass."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """The ``tangent`` argument of every summary_blocks call; gradients
+        reaches the kernel only through compute_summary_tensor."""
+        import sumlearn.summaries
+
+        kernel = sumlearn.summaries.summary_blocks
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("tangent", False))
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sumlearn.summaries, "summary_blocks", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode, expected", [
+        ("relaxed", [True]), ("hard", [False]),
+    ], ids=["relaxed", "hard"])
+    def test_one_kernel_call_per_step(self, rng, monkeypatch, mode, expected):
+        batch, sp, mp, config = make_setup(rng, n=200, d=4, t=24, mode=mode)
+        calls = self.kernel_calls(monkeypatch)
+        loss_and_gradients(sp, mp, batch, config)
+        assert calls == expected
+
+    @pytest.mark.parametrize("mode", ["relaxed", "hard"])
+    def test_loss_matches_total_loss_across_blocks(self, rng, mode):
+        from sumlearn import total_loss
+
+        batch, sp, mp, config = make_setup(rng, n=200, d=4, t=24, mode=mode)
+        loss, _ = loss_and_gradients(sp, mp, batch, config)
+        assert loss == pytest.approx(total_loss(sp, mp, batch, config), rel=1e-12)
+
+
 class TestGradientStructure:
     def test_shapes(self, rng):
         batch, sp, mp, config = make_setup(rng)

@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_list(text):
+    """argparse type of --seeds and --n-list: comma-separated integers >= 0."""
+    parts = text.split(",")
+    if not all(part.strip().isdecimal() for part in parts):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of non-negative integers")
+    return [int(part) for part in parts]
+
+
 def read_config(path):
     """Parse a flat key = value config file into a dict of strings, checking
     each key against FIELD_TYPES and each value against the key's type."""
@@ -128,10 +137,9 @@ def _fit_one_seed(raw, config, test_fraction, seed, out_dir):
     """Split, normalize, train and persist one seed's artifacts."""
     train_raw, test_raw = data.split_by_patient(raw, test_fraction, seed)
     median = data.compute_population_median(train_raw)
-    stats = data.fit_normalization(data.build_batch(train_raw, median))
-    batch_train_all = data.apply_normalization(
-        data.build_batch(train_raw, median), stats
-    )
+    batch_train_all = data.build_batch(train_raw, median)
+    stats = data.fit_normalization(batch_train_all)
+    batch_train_all = data.apply_normalization(batch_train_all, stats)
     batch_test = data.apply_normalization(data.build_batch(test_raw, median), stats)
     fit_batch, val_batch = data.split_by_patient(
         batch_train_all, config.val_fraction, seed + 1
@@ -161,7 +169,7 @@ def _fit_one_seed(raw, config, test_fraction, seed, out_dir):
 
 def cmd_train(args):
     config = _config(model.TrainConfig, args)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seeds = args.seeds
     categorical = args.categorical.split(",") if args.categorical else ()
     raw = _load_cohort(args, args.t, categorical=categorical)
     out = Path(args.out)
@@ -218,10 +226,9 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     ckpt, batch = _load_eval_inputs(args)
-    n_list = [int(n) for n in args.n_list.split(",")]
     pairs = evaluate.ablation_curve(
         ckpt["summary_params"], ckpt["model_params"], batch,
-        ckpt["config"].mode, n_list,
+        ckpt["config"].mode, args.n_list,
     )
     tsv = evaluate.ablation_tsv(pairs)
     Path(args.out).write_text(tsv)
@@ -298,7 +305,8 @@ def build_parser():
     _add_cohort_args(p)
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seeds", default="0", help="comma-separated seed list")
+    p.add_argument("--seeds", type=_int_list, default="0",
+                   help="comma-separated seed list")
     p.add_argument("--t", type=int, default=24, help="hours per example")
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.add_argument("--mode", choices=model.MODES)
@@ -323,7 +331,7 @@ def build_parser():
     p = sub.add_parser("ablate", help="top-N coefficient ablation curve")
     p.add_argument("--checkpoint", required=True)
     _add_cohort_args(p)
-    p.add_argument("--n-list", required=True)
+    p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 

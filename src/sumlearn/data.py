@@ -108,9 +108,10 @@ def _read_rows(path, expected_header):
     """Yield the stripped header of a CSV file, then (line number, row) of
     each non-blank row.
 
-    A file that cannot be opened is a DataError.  The header must start
-    with ``expected_header`` (SchemaError otherwise, also for an empty
-    file), and a row with fewer fields is a ParseError naming its line.
+    A file that cannot be opened or is not UTF-8 text is a DataError.  The
+    header must start with ``expected_header`` (SchemaError otherwise, also
+    for an empty file), and a row with fewer fields is a ParseError naming
+    its line.
     """
     n_fields = len(expected_header)
     try:
@@ -118,20 +119,24 @@ def _read_rows(path, expected_header):
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader, [])]
-        if not header:
-            raise SchemaError(f"{path}: empty file")
-        if header[:n_fields] != expected_header:
-            raise SchemaError(f"{path}: expected header {expected_header}, got {header}")
-        yield header
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < n_fields:
-                raise ParseError(f"expected {n_fields} fields, got {len(row)}",
-                                 line=line_no)
-            yield line_no, row
+        try:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader, [])]
+            if not header:
+                raise SchemaError(f"{path}: empty file")
+            if header[:n_fields] != expected_header:
+                raise SchemaError(
+                    f"{path}: expected header {expected_header}, got {header}")
+            yield header
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) < n_fields:
+                    raise ParseError(f"expected {n_fields} fields, got {len(row)}",
+                                     line=line_no)
+                yield line_no, row
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def ingest_csv(

@@ -8,8 +8,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .model import predict
-from .summaries import FRAC_ABOVE, FRAC_BELOW, SUMMARY_NAMES
+from .model import forward
+from .summaries import FRAC_ABOVE, FRAC_BELOW, SUMMARY_NAMES, sigmoid
 
 
 def auc(scores, labels):
@@ -51,11 +51,13 @@ def ablate_top_n(model_params, n):
 
 
 def ablation_curve(summary_params, model_params, batch, mode, n_list):
-    """(n, test AUC) pairs with summaries fixed at the fitted parameters."""
+    """(n, test AUC) pairs with summaries fixed at the fitted parameters; the
+    design matrix does not depend on the coefficients, so it is built once."""
+    design = forward(batch, summary_params, model_params, mode)[1]
     pairs = []
     for n in sorted(n_list):
         ablated = ablate_top_n(model_params, n)
-        scores = predict(batch, summary_params, ablated, mode)
+        scores = sigmoid(design @ ablated.coeffs + ablated.bias)
         pairs.append((int(n), auc(scores, batch.y)))
     return pairs
 

@@ -7,8 +7,8 @@ window length ``C[d, i]`` (and the threshold fractions on one threshold),
 so the summary layer needs only ``dH[n, d, i]/dC[d, i]`` and ``dH/dphi``,
 which the summary kernel computes from the same weighted time sums taken
 against ``dw/dC = w (1 - w) / tau``.  A relaxed step runs that tangent pass
-once: its H feeds the head and the loss, and after the head its tangents
-are contracted with G = dL/dH, ``dL/dC = sum_n G * dH/dC``.
+once, in ``model.forward``: its H feeds the head and the loss, and after the
+head its tangents are contracted with G = dL/dH, ``dL/dC = sum_n G * dH/dC``.
 
 The epsilon guards inside the weighted means leave tiny residuals
 (sum of v * deviation = mean * eps instead of zero); their derivative
@@ -23,20 +23,11 @@ import numpy as np
 
 from .data import class_weights
 from .errors import NumericalError
-from .model import (
-    assemble_features,
-    penalty_grad,
-    penalty_value,
-    total_loss,
-    weighted_bce_from_logits,
-)
-from .summaries import (
-    FRAC_ABOVE,
-    FRAC_BELOW,
-    N_SUMMARIES,
-    compute_summary_tensor,
-    sigmoid,
-)
+# assemble_features and compute_summary_tensor are not called here (model.forward
+# calls them), but the benchmark's trace shims look both up on this module.
+from .model import assemble_features, forward, objective, penalty_grad, total_loss
+from .summaries import FRAC_ABOVE, FRAC_BELOW, N_SUMMARIES, sigmoid
+from .summaries import compute_summary_tensor
 
 
 # The learnable blocks, each an attribute of ModelParams or SummaryParams
@@ -75,23 +66,10 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
     """(loss, GradientSet): the loss equals total_loss on the same inputs."""
     if weights is None:
         weights = class_weights(batch.y)
-    X, M, S, y = batch.X, batch.M, batch.S, batch.y
-    N = X.shape[0]
-    D = X.shape[1]
-    mode = config.mode
-
-    H = None
-    if mode == "relaxed":
-        H, dH_dC, dH_dphi = compute_summary_tensor(X, M, summary_params, mode,
-                                                   tangent=True)
-    elif mode == "hard":
-        H = compute_summary_tensor(X, M, summary_params, mode)
-    design = assemble_features(H, S, X, M, mode)
-    z = design @ model_params.coeffs + model_params.bias
-    y_hat = sigmoid(z)
-    loss = weighted_bce_from_logits(z, y, weights) + config.alpha * penalty_value(
-        model_params.coeffs, config
-    )
+    N, D = batch.X.shape[:2]
+    z, design, tangents = forward(batch, summary_params, model_params, config.mode,
+                                  tangent=config.mode == "relaxed")
+    loss = objective(z, batch.y, weights, model_params.coeffs, config)
     if not np.isfinite(loss):
         bad = np.flatnonzero(~np.isfinite(design).all(0))
         names = model_params.feature_names
@@ -99,18 +77,14 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
                  else "design matrix finite")
         raise NumericalError(f"non-finite loss ({where})")
 
-    r = weights * (y_hat - y) / N
-    d_bias = r.sum()
+    r = weights * (sigmoid(z) - batch.y) / N
     d_coeffs = design.T @ r + config.alpha * penalty_grad(model_params.coeffs, config)
-
-    d_C = np.zeros_like(summary_params.C)
-    d_phi_plus = np.zeros(D)
-    d_phi_minus = np.zeros(D)
-    if mode == "relaxed":
-        n_hcols = D * N_SUMMARIES
-        G = np.outer(r, model_params.coeffs[:n_hcols]).reshape(N, D, N_SUMMARIES)
-        d_C, d_phi_plus, d_phi_minus = backprop_summaries(G, dH_dC, dH_dphi)
-    return loss, GradientSet(d_coeffs, d_bias, d_C, d_phi_plus, d_phi_minus)
+    if tangents is None:  # hard mode and the modes without summaries
+        d_summaries = np.zeros_like(summary_params.C), np.zeros(D), np.zeros(D)
+    else:
+        G = np.outer(r, model_params.coeffs[:D * N_SUMMARIES]).reshape(N, D, -1)
+        d_summaries = backprop_summaries(G, *tangents)
+    return loss, GradientSet(d_coeffs, r.sum(), *d_summaries)
 
 
 @dataclass

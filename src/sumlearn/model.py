@@ -70,8 +70,9 @@ class TrainConfig:
                 raise DataError(f"{name} must be positive")
         if self.alpha < 0:
             raise DataError("alpha must be non-negative")
-        if self.batch_size < 1:
-            raise DataError("batch_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "eval_interval"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1")
 
     @property
     def summary_learning_rate(self):
@@ -124,13 +125,23 @@ def assemble_features(H, S, X, M, mode):
     return np.concatenate(cols, axis=1)
 
 
+def forward(batch, summary_params, model_params, mode, tangent=False):
+    """(z, design, tangents): the logits of a normalized batch, the design
+    matrix they come from, and with ``tangent`` (relaxed mode only) the
+    (dH/dC, dH/dphi) of the same kernel pass, else None."""
+    H = tangents = None
+    if mode in ("relaxed", "hard"):
+        H = compute_summary_tensor(batch.X, batch.M, summary_params, mode,
+                                   tangent=tangent)
+        if tangent:
+            H, tangents = H[0], H[1:]
+    design = assemble_features(H, batch.S, batch.X, batch.M, mode)
+    return design @ model_params.coeffs + model_params.bias, design, tangents
+
+
 def predict(batch, summary_params, model_params, mode):
     """End-to-end predicted probabilities for a normalized batch."""
-    H = None
-    if mode in ("relaxed", "hard"):
-        H = compute_summary_tensor(batch.X, batch.M, summary_params, mode)
-    design = assemble_features(H, batch.S, batch.X, batch.M, mode)
-    return sigmoid(design @ model_params.coeffs + model_params.bias)
+    return sigmoid(forward(batch, summary_params, model_params, mode)[0])
 
 
 def weighted_bce(y_hat, y, weights):
@@ -178,17 +189,18 @@ def penalty_grad(coeffs, config):
     return np.zeros_like(coeffs)
 
 
+def objective(z, y, weights, coeffs, config):
+    """Weighted BCE of the logits z plus alpha * penalty of the coefficients."""
+    return (weighted_bce_from_logits(z, y, weights)
+            + config.alpha * penalty_value(coeffs, config))
+
+
 def total_loss(summary_params, model_params, batch, config, weights=None):
-    """Weighted BCE plus alpha * penalty; the scalar the gradients target."""
+    """The objective of a batch; the scalar the gradients target."""
     if weights is None:
         weights = class_weights(batch.y)
-    H = None
-    if config.mode in ("relaxed", "hard"):
-        H = compute_summary_tensor(batch.X, batch.M, summary_params, config.mode)
-    design = assemble_features(H, batch.S, batch.X, batch.M, config.mode)
-    z = design @ model_params.coeffs + model_params.bias
-    bce = weighted_bce_from_logits(z, batch.y, weights)
-    return bce + config.alpha * penalty_value(model_params.coeffs, config)
+    z = forward(batch, summary_params, model_params, config.mode)[0]
+    return objective(z, batch.y, weights, model_params.coeffs, config)
 
 
 # ---------------------------------------------------------------------------

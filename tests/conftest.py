@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sumlearn.summaries
 from sumlearn import ClinicalBatch, SummaryParams
 
 # one line per acceptance criterion, echoed after the test summary
@@ -48,3 +49,19 @@ def full_window_params(d, i=12, t=12, tau=0.1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The ``tangent`` argument of every summary_blocks call from here on,
+    counted at the ``sumlearn.summaries`` binding, the only one through
+    which the rest of the package reaches the kernel."""
+    kernel = sumlearn.summaries.summary_blocks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tangent", False))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(sumlearn.summaries, "summary_blocks", counted)
+    return calls

@@ -270,6 +270,30 @@ class TestTypedFailures:
         code = main(["synth", "--out", str(tmp_path / "c"), "--config", str(tmp_path)])
         assert_fails(capsys, code, 1, f"cannot read config file {tmp_path}")
 
+    @pytest.mark.parametrize("args, needle", [
+        (["train", "--seeds", "0,x"], "argument --seeds: '0,x' is not"),
+        (["ablate", "--n-list", "1,a"], "argument --n-list: '1,a' is not"),
+        (["ablate", "--n-list", "-1"], "argument --n-list: '-1' is not"),
+    ], ids=["seeds", "n_list", "negative_n"])
+    def test_bad_int_list_is_1(self, cohort_dir, trained_dir, tmp_path, capsys,
+                               args, needle):
+        if args[0] == "ablate":
+            args += ["--checkpoint", str(trained_dir / "seed_0" / "model.ckpt")]
+        code = main(args + ["--cohort-dir", str(cohort_dir),
+                            "--out", str(tmp_path / "out")])
+        assert_fails(capsys, code, 1, needle)
+
+    @pytest.mark.parametrize("flag", ["--eval-interval", "--epochs"])
+    def test_zero_epochs_or_eval_interval_is_2(self, cohort_dir, tmp_path, capsys,
+                                               flag):
+        code = main([
+            "train", "--cohort-dir", str(cohort_dir), "--out", str(tmp_path / "run"),
+            "--t", "12", flag, "0",
+        ])
+        field = {"--eval-interval": "eval_interval", "--epochs": "max_epochs"}[flag]
+        assert_fails(capsys, code, 2, f"{field} must be >= 1")
+        assert not (tmp_path / "run").exists()
+
     def test_missing_checkpoint_is_2(self, cohort_dir, tmp_path, capsys):
         missing = tmp_path / "absent.ckpt"
         code = main(["eval", "--checkpoint", str(missing), "--cohort-dir", str(cohort_dir)])
@@ -318,8 +342,10 @@ class TestTypedFailures:
         ("static.csv", "patient_id,age\np1,nan\n",
          "static value 'nan' for patient p1 column 'age' is not a finite number"),
         ("static.csv", None, "static.csv: cannot read: No such file"),
+        ("labels.csv", b"patient_id,label\np1,1\np\xff\xfe,1\n",
+         "labels.csv: not UTF-8 text"),
     ], ids=["empty_static", "short_label_row", "inf_value", "nan_static",
-            "missing_static"])
+            "missing_static", "labels_not_utf8"])
     def test_malformed_cohort_is_2(self, trained_dir, tmp_path, capsys, name,
                                    text, needle):
         ckpt = trained_dir / "seed_0" / "model.ckpt"
@@ -331,7 +357,9 @@ class TestTypedFailures:
             name: text,
         }
         for file_name, file_text in files.items():
-            if file_text is not None:
+            if isinstance(file_text, bytes):
+                (tmp_path / file_name).write_bytes(file_text)
+            elif file_text is not None:
                 (tmp_path / file_name).write_text(file_text.format(var=var))
         code = main(["eval", "--checkpoint", str(ckpt), "--cohort-dir", str(tmp_path)])
         assert_fails(capsys, code, 2, needle)

@@ -10,7 +10,7 @@ from sumlearn.evaluate import (
     key_feature_report,
     report_tsv,
 )
-from sumlearn.model import feature_names_for
+from sumlearn.model import feature_names_for, predict
 
 from conftest import full_window_params, random_batch
 
@@ -93,6 +93,19 @@ class TestAblation:
         assert [n for n, _ in curve] == [1, 5, 15]
         for _, value in curve:
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("mode", ["relaxed", "hard"])
+    def test_curve_summarizes_once_and_scores_as_predict(self, rng, kernel_calls,
+                                                         mode):
+        batch = random_batch(rng, n=40)
+        sp = full_window_params(3)
+        names = feature_names_for(batch.variable_names, batch.static_names,
+                                  batch.T, mode)
+        mp = ModelParams(rng.standard_normal(len(names)), 0.3, names)
+        curve = ablation_curve(sp, mp, batch, mode, [15, 1, 5])
+        assert kernel_calls == [False]
+        assert curve == [(n, auc(predict(batch, sp, ablate_top_n(mp, n), mode),
+                                 batch.y)) for n in (1, 5, 15)]
 
 
 class TestReport:

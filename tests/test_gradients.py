@@ -68,30 +68,13 @@ class TestMultiBlock:
 class TestFusedStep:
     """A relaxed step takes H and its tangents from one kernel pass."""
 
-    @staticmethod
-    def kernel_calls(monkeypatch):
-        """The ``tangent`` argument of every summary_blocks call; gradients
-        reaches the kernel only through compute_summary_tensor."""
-        import sumlearn.summaries
-
-        kernel = sumlearn.summaries.summary_blocks
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("tangent", False))
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(sumlearn.summaries, "summary_blocks", counted)
-        return calls
-
     @pytest.mark.parametrize("mode, expected", [
         ("relaxed", [True]), ("hard", [False]),
     ], ids=["relaxed", "hard"])
-    def test_one_kernel_call_per_step(self, rng, monkeypatch, mode, expected):
+    def test_one_kernel_call_per_step(self, rng, kernel_calls, mode, expected):
         batch, sp, mp, config = make_setup(rng, n=200, d=4, t=24, mode=mode)
-        calls = self.kernel_calls(monkeypatch)
         loss_and_gradients(sp, mp, batch, config)
-        assert calls == expected
+        assert kernel_calls == expected
 
     @pytest.mark.parametrize("mode", ["relaxed", "hard"])
     def test_loss_matches_total_loss_across_blocks(self, rng, mode):

@@ -9,12 +9,16 @@ from sumlearn import (
     predict,
     weighted_bce,
 )
+from sumlearn.data import class_weights
 from sumlearn.errors import CheckpointFormatError
 from sumlearn.model import (
     feature_names_for,
+    forward,
     horseshoe_penalty_grad,
     load_checkpoint,
+    objective,
     save_checkpoint,
+    total_loss,
     weighted_bce_from_logits,
 )
 from sumlearn.summaries import SummaryParams, sigmoid
@@ -135,6 +139,22 @@ class TestPredict:
         )
         mp = ModelParams(np.zeros(len(names)), -1.0, names)
         assert np.allclose(predict(batch, sp, mp, "relaxed"), sigmoid(-1.0))
+
+    @pytest.mark.parametrize("mode", ["relaxed", "hard", "time_of_prediction_only"])
+    def test_forward_gives_the_logits_of_its_design(self, rng, mode):
+        batch = random_batch(rng)
+        sp = SummaryParams(rng.uniform(0, batch.T, (3, 12)), np.ones(3),
+                           -np.ones(3), 0.1)
+        names = feature_names_for(batch.variable_names, batch.static_names,
+                                  batch.T, mode)
+        mp = ModelParams(rng.standard_normal(len(names)), 0.2, names)
+        z, design, tangents = forward(batch, sp, mp, mode)
+        assert tangents is None
+        assert np.array_equal(z, design @ mp.coeffs + mp.bias)
+        assert np.array_equal(predict(batch, sp, mp, mode), sigmoid(z))
+        config = TrainConfig(mode=mode, alpha=0.1)
+        assert total_loss(sp, mp, batch, config) == objective(
+            z, batch.y, class_weights(batch.y), mp.coeffs, config)
 
 
 class TestCheckpoint:

@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text):
+    """argparse type of --top-k: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
 def _int_list(text):
     """argparse type of --seeds and --n-list: comma-separated integers >= 0."""
     parts = text.split(",")
@@ -337,7 +344,7 @@ def build_parser():
 
     p = sub.add_parser("report", help="key-feature interpretability report")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--top-k", type=int, default=15)
+    p.add_argument("--top-k", type=_count, default=15)
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 

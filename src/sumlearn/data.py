@@ -360,11 +360,6 @@ def apply_normalization(batch, stats):
     return replace(batch, X=X, S=S, M=batch.M.copy(), y=batch.y.copy())
 
 
-def denormalize(X, stats):
-    """Inverse of apply_normalization on the time-series tensor."""
-    return X * stats.std[None, :, None] + stats.mean[None, :, None]
-
-
 def split_by_patient(cohort, test_fraction, seed):
     """Stratified patient-level split into (train, test)."""
     if not 0 < test_fraction < 1:

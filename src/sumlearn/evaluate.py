@@ -21,16 +21,12 @@ def auc(scores, labels):
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: both classes must be present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    # average ranks over tie groups (1-based)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # average 1-based rank of each tie run; NaN != NaN, so each NaN is its own run
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    counts = np.diff(np.r_[starts, len(scores)])
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
     rank_sum_pos = ranks[labels == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

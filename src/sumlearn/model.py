@@ -10,7 +10,7 @@ import numpy as np
 
 from . import summaries
 from .data import NormalizationStats, class_weights
-from .errors import CheckpointFormatError, DataError, NumericalError
+from .errors import CheckpointFormatError, DataError
 from .summaries import N_SUMMARIES, SUMMARY_NAMES, compute_summary_tensor, sigmoid
 
 EPS_HS = 1e-8
@@ -142,16 +142,6 @@ def forward(batch, summary_params, model_params, mode, tangent=False):
 def predict(batch, summary_params, model_params, mode):
     """End-to-end predicted probabilities for a normalized batch."""
     return sigmoid(forward(batch, summary_params, model_params, mode)[0])
-
-
-def weighted_bce(y_hat, y, weights):
-    """-(1/N) sum w_n [y log y_hat + (1-y) log(1-y_hat)]."""
-    y_hat = np.asarray(y_hat, dtype=float)
-    if not np.all(np.isfinite(y_hat)):
-        raise NumericalError("non-finite predictions in weighted_bce")
-    p = np.clip(y_hat, 1e-15, 1 - 1e-15)
-    terms = weights * (y * np.log(p) + (1 - y) * np.log1p(-p))
-    return -terms.mean()
 
 
 def weighted_bce_from_logits(z, y, weights):

@@ -22,7 +22,7 @@ stays in cache and its buffers are reused rather than faulted in again:
   ``(sum v)^2 - sum v^2`` are summed over pairs ``s < t`` for that reason.
 * Tangent: summary ``i`` of variable ``d`` depends on the one window
   ``C[d, i]``, so ``dH/dC`` is the same closed form over the same sums
-  taken against ``dw/dC``.  The tangent pass yields H too, so a relaxed
+  taken against ``dw/dC``.  The tangent pass gives H too, so a relaxed
   training step runs the kernel once (``compute_summary_tensor(...,
   tangent=True)``); ``gradients`` contracts dH/dC with ``dL/dH``.
 
@@ -166,11 +166,11 @@ def _time_axis(T):
 
 
 def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False):
-    """Yield ``(rows, H, dH_dC, dH_dphi)`` for each row block of the batch.
+    """``(H, dH_dC, dH_dphi)`` of the batch, filled in row blocks.
 
     X, M are (N, D, T); w is (D, I, T), the window of every (variable,
-    summary) cell.  H is (rows, D, I).  With ``tangent`` (relaxed mode only)
-    dH_dC (rows, D, I) is dH[n, d, i]/dC[d, i] and dH_dphi (2, rows, D)
+    summary) cell.  H is (N, D, I).  With ``tangent`` (relaxed mode only)
+    dH_dC (N, D, I) is dH[n, d, i]/dC[d, i] and dH_dphi (2, N, D)
     holds dH[n, d, FRAC_ABOVE]/dphi_plus[d] and
     dH[n, d, FRAC_BELOW]/dphi_minus[d]; otherwise both are None.
     """
@@ -213,6 +213,9 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
     buffers = [np.empty(n * rows_per_block * D * T)
                for n in (n_feat, len(DEVIATION_WINDOWS), len(SECOND_PASS_WINDOWS))]
     sums = np.empty(D * n_feat * rows_per_block * cols.shape[-1])
+    H = np.empty((N, D, N_SUMMARIES))
+    dH_dC = np.zeros((N, D, N_SUMMARIES)) if tangent else None
+    dH_dphi = np.empty((2, N, D)) if tangent else None
     for start in range(0, N, rows_per_block):
         rows = slice(start, min(start + rows_per_block, N))
         Xb, Mb = X[rows], M[rows]
@@ -280,10 +283,10 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         # dw/dC, and d(mean)/dC = sum dv (x - mean) / s
         if tangent:
             dmean = (dev_sums[..., 1] - shift * v_sums[..., 1]) / s
-        H = np.empty((R, D, N_SUMMARIES))
-        dH = np.zeros((R, D, N_SUMMARIES)) if tangent else None
-        H[..., FIRST_MEASURED] = first[rows]
-        H[..., LAST_MEASURED] = last[rows]
+        Hb = H[rows]
+        dHb = dH_dC[rows] if tangent else None
+        Hb[..., FIRST_MEASURED] = first[rows]
+        Hb[..., LAST_MEASURED] = last[rows]
 
         # ratios: numerator sums over sum w M + EPS, or sum w + EPS
         den = m[..., ratio_columns].transpose(2, 0, 1, 3)  # (5, R, D, n_c)
@@ -291,16 +294,16 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         den[..., 0] += EPS
         num = S[ratio_features, :, :, ratio_columns].transpose(0, 2, 3, 1)
         ratio = num[..., 0] / den[..., 0]
-        H[..., RATIOS] = ratio.transpose(1, 2, 0)
+        Hb[..., RATIOS] = ratio.transpose(1, 2, 0)
         if tangent:
-            dH[..., RATIOS] = ((num[..., 1] - ratio * den[..., 1]) / den[..., 0]
-                               ).transpose(1, 2, 0)
+            dHb[..., RATIOS] = ((num[..., 1] - ratio * den[..., 1]) / den[..., 0]
+                                ).transpose(1, 2, 0)
 
         b_ever = tau * col_sums[:, EVER_MEASURED] + EPS
         a_ever = m[..., EVER_MEASURED] / b_ever
-        H[..., EVER_MEASURED] = h = gate(a_ever)
+        Hb[..., EVER_MEASURED] = h = gate(a_ever)
         if tangent:
-            dH[..., EVER_MEASURED] = h * (1.0 - h) * (
+            dHb[..., EVER_MEASURED] = h * (1.0 - h) * (
                 m[..., N_COLUMNS + EVER_MEASURED]
                 - a_ever * tau * col_sums[:, N_COLUMNS + EVER_MEASURED]
             ) / b_ever
@@ -309,32 +312,31 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         q_var = centred(Q_DEV2, P_VARIANCE, P_VARIANCE)
         s1 = m[..., VARIANCE]
         den_var = 2.0 * q[Q_PAIRS, ..., 0] + EPS
-        H[..., VARIANCE] = q_var * s1 / den_var
-        H[..., INDICATOR_VARIANCE] = q[Q_INDICATOR, ..., 0] * s1_iv / den_iv
+        Hb[..., VARIANCE] = q_var * s1 / den_var
+        Hb[..., INDICATOR_VARIANCE] = q[Q_INDICATOR, ..., 0] * s1_iv / den_iv
         if tangent:
             dq = (centred(Q_DEV2, P_VARIANCE, P_VARIANCE, 1)
                   - 2.0 * dmean[P_VARIANCE] * residual[P_VARIANCE])
             ds1 = m[..., N_COLUMNS + VARIANCE]
             dden = 2.0 * s1 * ds1 - m[..., COL_DSQ_VARIANCE]
-            dH[..., VARIANCE] = (
-                dq * s1 + q_var * ds1 - H[..., VARIANCE] * dden
+            dHb[..., VARIANCE] = (
+                dq * s1 + q_var * ds1 - Hb[..., VARIANCE] * dden
             ) / den_var
             ds1 = col_sums[:, N_COLUMNS + INDICATOR_VARIANCE]
             dmbar = m[..., N_COLUMNS + INDICATOR_VARIANCE] - mbar * ds1
             dmbar /= s1_iv + EPS
             dq = q[Q_INDICATOR, ..., 1] - 2.0 * dmbar * mbar * EPS
             ds2 = 2.0 * (w_iv * cols[:, :, N_COLUMNS + INDICATOR_VARIANCE]).sum(-1)
-            dH[..., INDICATOR_VARIANCE] = (
+            dHb[..., INDICATOR_VARIANCE] = (
                 dq * s1_iv + q[Q_INDICATOR, ..., 0] * ds1
-                - H[..., INDICATOR_VARIANCE] * (2.0 * s1_iv * ds1 - ds2)
+                - Hb[..., INDICATOR_VARIANCE] * (2.0 * s1_iv * ds1 - ds2)
             ) / den_iv
 
         den_slope = centred(Q_AA, P_SLOPE_T, P_SLOPE_T) + EPS
-        H[..., SLOPE] = centred(Q_AB, P_SLOPE_T, P_SLOPE_X) / den_slope
+        Hb[..., SLOPE] = centred(Q_AB, P_SLOPE_T, P_SLOPE_X) / den_slope
         den_se = centred(Q_STDERR, P_STDERR_T, P_STDERR_T) + EPS
-        H[..., SLOPE_STDERR] = 1.0 / den_se
+        Hb[..., SLOPE_STDERR] = 1.0 / den_se
         if not tangent:
-            yield rows, H, None, None
             continue
         dnum = centred(Q_AB, P_SLOPE_T, P_SLOPE_X, 1) - (
             dmean[P_SLOPE_T] * residual[P_SLOPE_X]
@@ -342,14 +344,15 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         )
         dden = (centred(Q_AA, P_SLOPE_T, P_SLOPE_T, 1)
                 - 2.0 * dmean[P_SLOPE_T] * residual[P_SLOPE_T])
-        dH[..., SLOPE] = (dnum - H[..., SLOPE] * dden) / den_slope
+        dHb[..., SLOPE] = (dnum - Hb[..., SLOPE] * dden) / den_slope
         dden = (centred(Q_STDERR, P_STDERR_T, P_STDERR_T, 1)
                 - 2.0 * dmean[P_STDERR_T] * residual[P_STDERR_T])
-        dH[..., SLOPE_STDERR] = -dden / den_se**2
-        dH_dphi = S[[F_ABOVE_SLOPE, F_BELOW_SLOPE], ..., [FRAC_ABOVE, FRAC_BELOW]] / (
+        dHb[..., SLOPE_STDERR] = -dden / den_se**2
+        dphi = dH_dphi[:, rows]
+        dphi[:] = S[[F_ABOVE_SLOPE, F_BELOW_SLOPE], ..., [FRAC_ABOVE, FRAC_BELOW]] / (
             tau * (m[..., [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) + EPS))
-        dH_dphi[0] *= -1.0
-        yield rows, H, dH, dH_dphi
+        dphi[0] *= -1.0
+    return H, dH_dC, dH_dphi
 
 
 def window_weights(params, T, mode):
@@ -374,16 +377,10 @@ def compute_summary_tensor(X, M, params, mode="relaxed", tangent=False):
     X = np.asarray(X, dtype=float)
     M = np.asarray(M, dtype=float)
     W = window_weights(params, X.shape[-1], mode)
-    H = np.empty(X.shape[:2] + (N_SUMMARIES,))
-    if tangent:
-        dH_dC, dH_dphi = np.empty_like(H), np.empty((2,) + X.shape[:2])
-    for rows, h, dh_dc, dh_dphi in summary_blocks(
+    H, dH_dC, dH_dphi = summary_blocks(
         X, M, W, params.phi_plus, params.phi_minus, params.tau_temp,
         hard=mode == "hard", tangent=tangent,
-    ):
-        H[rows] = h
-        if tangent:
-            dH_dC[rows], dH_dphi[:, rows] = dh_dc, dh_dphi
+    )
     return (H, dH_dC, dH_dphi) if tangent else H
 
 
@@ -395,8 +392,8 @@ def _view(i, X, M, w=1.0, phi=0.0, tau_temp=1.0):
     # every leading index becomes a variable of a one-example batch
     phi = np.broadcast_to(phi, shape).reshape(-1)
     W = np.repeat(w.reshape(-1, 1, T), N_SUMMARIES, axis=1)
-    (_, H, _, _), = summary_blocks(X.reshape(1, -1, T), M.reshape(1, -1, T), W,
-                                   phi, phi, tau_temp)
+    H = summary_blocks(X.reshape(1, -1, T), M.reshape(1, -1, T), W,
+                       phi, phi, tau_temp)[0]
     return H[0, :, i].reshape(shape)[()]
 
 

@@ -180,14 +180,6 @@ def generate(spec):
     return batch, descriptor
 
 
-def describe_ground_truth(descriptor):
-    """(variable, summary, window) triples the model should surface."""
-    return [
-        (s["variable"], s["summary"], s["window"])
-        for s in descriptor["signals"]
-    ]
-
-
 def write_cohort(batch, out_dir):
     """Write the three-CSV cohort format; measured entries only."""
     out = Path(out_dir)
@@ -195,13 +187,13 @@ def write_cohort(batch, out_dir):
     with open(out / "timeseries.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id", "variable", "hour", "value"])
-        for n, pid in enumerate(batch.patient_ids):
-            for d, var in enumerate(batch.variable_names):
-                for t in range(batch.T):
-                    if batch.M[n, d, t] == 1:
-                        writer.writerow(
-                            [pid, var, t + 1, repr(float(batch.X[n, d, t]))]
-                        )
+        n, d, t = np.nonzero(batch.M == 1)  # in (patient, variable, hour) order
+        writer.writerows(zip(
+            [batch.patient_ids[i] for i in n.tolist()],
+            [batch.variable_names[j] for j in d.tolist()],
+            (t + 1).tolist(),
+            map(repr, batch.X[n, d, t].tolist()),
+        ))
     with open(out / "static.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["patient_id"] + batch.static_names)

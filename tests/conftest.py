@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import sumlearn.summaries
-from sumlearn import ClinicalBatch, SummaryParams
+from sumlearn.data import ClinicalBatch
+from sumlearn.summaries import SummaryParams
 
 # one line per acceptance criterion, echoed after the test summary
 ACCEPTANCE_LINES = []

@@ -17,8 +17,6 @@ from sumlearn import (
     TrainConfig,
     apply_normalization,
     auc,
-    compute_summary_tensor,
-    finite_difference_check,
     fit_normalization,
     generate,
     predict,
@@ -27,6 +25,7 @@ from sumlearn import (
 )
 from sumlearn.cli import main as cli_main
 from sumlearn.evaluate import ablate_top_n
+from sumlearn.gradients import finite_difference_check
 from sumlearn.model import ModelParams, feature_names_for
 from sumlearn.summaries import (
     EPS,
@@ -36,6 +35,7 @@ from sumlearn.summaries import (
     SLOPE,
     VARIANCE,
     SummaryParams,
+    compute_summary_tensor,
     s_mean,
     s_slope,
     s_slope_stderr,

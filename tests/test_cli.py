@@ -283,6 +283,12 @@ class TestTypedFailures:
                             "--out", str(tmp_path / "out")])
         assert_fails(capsys, code, 1, needle)
 
+    @pytest.mark.parametrize("value", ["-1", "2.5"])
+    def test_bad_top_k_is_1(self, trained_dir, capsys, value):
+        ckpt = trained_dir / "seed_0" / "model.ckpt"
+        code = main(["report", "--checkpoint", str(ckpt), "--top-k", value])
+        assert_fails(capsys, code, 1, f"argument --top-k: {value!r} is not")
+
     @pytest.mark.parametrize("flag", ["--eval-interval", "--epochs"])
     def test_zero_epochs_or_eval_interval_is_2(self, cohort_dir, tmp_path, capsys,
                                                flag):

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumlearn import ModelParams, ablate_top_n, ablation_curve, auc
+from sumlearn.data import fit_normalization
 from sumlearn.evaluate import (
     _window_from_C,
+    ablate_top_n,
+    ablation_curve,
     ablation_tsv,
+    auc,
     key_feature_report,
     report_tsv,
 )
-from sumlearn.model import feature_names_for, predict
+from sumlearn.model import ModelParams, feature_names_for, predict
 
 from conftest import full_window_params, random_batch
 
@@ -115,8 +118,6 @@ class TestReport:
         assert _window_from_C(0.4, 24) == (24, 24)
 
     def test_threshold_denormalized(self, rng):
-        from sumlearn import fit_normalization
-
         batch = random_batch(rng, n=20)
         stats = fit_normalization(batch)
         sp = full_window_params(3)
@@ -137,8 +138,6 @@ class TestReport:
 
     def test_rank_order_follows_magnitude(self, rng):
         batch = random_batch(rng, n=20)
-        from sumlearn import fit_normalization
-
         stats = fit_normalization(batch)
         sp = full_window_params(3)
         names = feature_names_for(
@@ -153,8 +152,6 @@ class TestReport:
 
     def test_tsv_shapes(self, rng):
         batch = random_batch(rng, n=20)
-        from sumlearn import fit_normalization
-
         stats = fit_normalization(batch)
         sp = full_window_params(3)
         names = feature_names_for(

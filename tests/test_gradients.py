@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from sumlearn import TrainConfig, finite_difference_check, loss_and_gradients
-from sumlearn.model import feature_names_for, ModelParams
-from sumlearn.summaries import BLOCK_BYTES, SummaryParams
+from sumlearn.errors import NumericalError
+from sumlearn.gradients import finite_difference_check, loss_and_gradients
+from sumlearn.model import ModelParams, TrainConfig, feature_names_for, total_loss
+from sumlearn.summaries import (
+    BLOCK_BYTES,
+    FIRST_MEASURED,
+    LAST_MEASURED,
+    SummaryParams,
+)
 
 from conftest import random_batch
 
@@ -78,8 +84,6 @@ class TestFusedStep:
 
     @pytest.mark.parametrize("mode", ["relaxed", "hard"])
     def test_loss_matches_total_loss_across_blocks(self, rng, mode):
-        from sumlearn import total_loss
-
         batch, sp, mp, config = make_setup(rng, n=200, d=4, t=24, mode=mode)
         loss, _ = loss_and_gradients(sp, mp, batch, config)
         assert loss == pytest.approx(total_loss(sp, mp, batch, config), rel=1e-12)
@@ -97,8 +101,6 @@ class TestGradientStructure:
         assert grads.d_phi_minus.shape == sp.phi_minus.shape
 
     def test_non_differentiable_summaries_have_zero_window_grad(self, rng):
-        from sumlearn.summaries import FIRST_MEASURED, LAST_MEASURED
-
         batch, sp, mp, config = make_setup(rng)
         _, grads = loss_and_gradients(sp, mp, batch, config)
         assert np.all(grads.d_C[:, FIRST_MEASURED] == 0)
@@ -119,16 +121,12 @@ class TestGradientStructure:
         assert np.all(grads.d_phi_plus == 0)
 
     def test_non_finite_loss_names_the_design_column(self, rng):
-        from sumlearn.errors import NumericalError
-
         batch, sp, mp, config = make_setup(rng)
         batch.S[2, 1] = np.inf
         with pytest.raises(NumericalError, match="design column: static:s1"):
             loss_and_gradients(sp, mp, batch, config)
 
     def test_loss_matches_total_loss(self, rng):
-        from sumlearn import total_loss
-
         batch, sp, mp, config = make_setup(rng)
         loss, _ = loss_and_gradients(sp, mp, batch, config)
         assert loss == pytest.approx(
@@ -140,8 +138,6 @@ class TestScalarConvergence:
     def test_window_gradient_converges_under_fd_refinement(self, rng):
         """Central differences at shrinking step sizes approach the
         analytic d/dC, confirming the epsilon cross-terms are exact."""
-        from sumlearn import total_loss
-
         batch, sp, mp, config = make_setup(rng)
         d, i = 0, 1  # a variance cell, the hardest case
         _, grads = loss_and_gradients(sp, mp, batch, config)

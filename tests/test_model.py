@@ -1,22 +1,19 @@
 import numpy as np
 import pytest
 
-from sumlearn import (
+from sumlearn.data import class_weights, fit_normalization
+from sumlearn.errors import CheckpointFormatError
+from sumlearn.model import (
     ModelParams,
     TrainConfig,
     assemble_features,
-    horseshoe_penalty,
-    predict,
-    weighted_bce,
-)
-from sumlearn.data import class_weights
-from sumlearn.errors import CheckpointFormatError
-from sumlearn.model import (
     feature_names_for,
     forward,
+    horseshoe_penalty,
     horseshoe_penalty_grad,
     load_checkpoint,
     objective,
+    predict,
     save_checkpoint,
     total_loss,
     weighted_bce_from_logits,
@@ -78,14 +75,17 @@ class TestLoss:
         manual = -(
             2.0 * np.log(0.9) + 1.0 * np.log(0.8) + 0.5 * np.log(0.6)
         ) / 3
-        assert weighted_bce(y_hat, y, w) == pytest.approx(manual, rel=1e-12)
+        z = np.log(y_hat / (1.0 - y_hat))
+        assert weighted_bce_from_logits(z, y, w) == pytest.approx(manual, rel=1e-12)
 
     def test_logit_form_agrees(self, rng):
         z = rng.standard_normal(50) * 3
         y = (rng.random(50) < 0.5).astype(float)
         w = rng.random(50) + 0.5
+        p = sigmoid(z)
+        probability_form = -(w * (y * np.log(p) + (1 - y) * np.log1p(-p))).mean()
         assert weighted_bce_from_logits(z, y, w) == pytest.approx(
-            weighted_bce(sigmoid(z), y, w), rel=1e-9
+            probability_form, rel=1e-9
         )
 
     def test_logit_form_is_stable_at_extremes(self):
@@ -170,8 +170,6 @@ class TestCheckpoint:
             batch.variable_names, batch.static_names, batch.T, "relaxed"
         )
         mp = ModelParams(rng.standard_normal(len(names)), 0.33, names)
-        from sumlearn import fit_normalization
-
         stats = fit_normalization(batch)
         config = TrainConfig(seed=7)
         path = tmp_path / "model.ckpt"

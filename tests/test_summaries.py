@@ -3,15 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumlearn import SummaryParams, compute_summary_tensor
 from sumlearn.summaries import (
     BLOCK_BYTES,
     EPS,
+    EVER_MEASURED,
+    FIRST_MEASURED,
     FRAC_ABOVE,
     FRAC_BELOW,
+    INDICATOR_MEAN,
+    INDICATOR_VARIANCE,
+    LAST_MEASURED,
     MEAN,
     SLOPE,
+    SWITCH_COUNT,
     VARIANCE,
+    SummaryParams,
+    compute_summary_tensor,
     s_ever_measured,
     s_first_measured,
     s_frac_above,
@@ -339,11 +346,6 @@ def test_scale_equivariance(seed, a):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_missingness_summaries_ignore_values(seed):
-    from sumlearn.summaries import (
-        EVER_MEASURED, FIRST_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE,
-        LAST_MEASURED, SWITCH_COUNT,
-    )
-
     rng = np.random.default_rng(seed)
     m = (rng.random((3, 2, 9)) < 0.7).astype(float)
     x1 = rng.standard_normal((3, 2, 9))
@@ -506,11 +508,6 @@ def test_kernel_matches_formulas_across_blocks(seed, offset, windows, p_obs):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_missingness_summaries_ignore_values_across_blocks(seed):
-    from sumlearn.summaries import (
-        EVER_MEASURED, FIRST_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE,
-        LAST_MEASURED, SWITCH_COUNT,
-    )
-
     rng = np.random.default_rng(seed)
     d, t = 3, 16
     n = 3 * _rows_per_block(d, t) + 5

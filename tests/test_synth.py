@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sumlearn import SynthSpec, describe_ground_truth, generate, ingest_csv
-from sumlearn.synth import write_cohort, write_truth
+from sumlearn.data import ingest_csv
+from sumlearn.synth import SynthSpec, generate, write_cohort, write_truth
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +73,7 @@ class TestGenerate:
         pairs = {(s["variable"], s["summary"]) for s in desc["signals"]}
         assert ("var0", "slope") in pairs
         assert ("var1", "frac_above") in pairs
-        triples = describe_ground_truth(desc)
+        triples = [(s["variable"], s["summary"], s["window"]) for s in desc["signals"]]
         assert ("var0", "slope", spec.trend_window) in triples
 
     def test_null_spec_has_no_signal(self):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import sumlearn.training as training
-from sumlearn import TrainConfig, init_params, train
 from sumlearn.errors import NumericalError
-from sumlearn.training import AdamState, adam_step
+from sumlearn.model import TrainConfig
+from sumlearn.training import AdamState, adam_step, init_params, train
 
 from conftest import random_batch
 

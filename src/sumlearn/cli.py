@@ -146,6 +146,8 @@ def _fit_one_seed(raw, config, test_fraction, seed, out_dir):
     median = data.compute_population_median(train_raw)
     batch_train_all = data.build_batch(train_raw, median)
     stats = data.fit_normalization(batch_train_all)
+    for text in stats.warnings:
+        print(f"warning: seed {seed}: {text}", file=sys.stderr)
     batch_train_all = data.apply_normalization(batch_train_all, stats)
     batch_test = data.apply_normalization(data.build_batch(test_raw, median), stats)
     fit_batch, val_batch = data.split_by_patient(
@@ -357,22 +359,29 @@ def build_parser():
     return parser
 
 
+def _print_failure(kind, exc):
+    """The one stderr line of a failure, even when a quoted patient id put a
+    line break into the message."""
+    text = str(exc).replace("\r", "\\r").replace("\n", "\\n")
+    print(f"{kind}: {text}", file=sys.stderr)
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _print_failure("usage error", exc)
         return 1
     except (DataError, CheckpointFormatError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _print_failure("data error", exc)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _print_failure("numerical failure", exc)
         return 3
     except SumlearnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_failure("error", exc)
         return 2
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -18,6 +19,12 @@ import numpy as np
 from .errors import ConflictError, DataError, ParseError, RangeError, SchemaError
 
 STD_FLOOR = 1e-6
+_SERIES_HEADER = ["patient_id", "variable", "hour", "value"]
+_SERIES_DTYPE = np.dtype([("patient", object), ("variable", object),
+                          ("hour", np.int64), ("value", np.float64)])
+# Separators that numpy's number parser skips as whitespace and Python's
+# int() and float() reject.
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _take(cohort, indices):
@@ -139,6 +146,131 @@ def _read_rows(path, expected_header):
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@dataclass
+class _Series:
+    """The rows of ``timeseries.csv`` as columns: each row's patient and
+    variable as a code into the sorted distinct stripped names, its hour and
+    its value."""
+
+    patients: list
+    p: np.ndarray
+    variables: list
+    v: np.ndarray
+    hour: np.ndarray
+    value: np.ndarray
+
+
+def _factorize(strings):
+    """(sorted distinct stripped strings, the index of each string's stripped
+    form among them); each distinct raw string is stripped once."""
+    code_of = dict.fromkeys(strings)
+    names = sorted({s.strip() for s in code_of})
+    index = {name: k for k, name in enumerate(names)}
+    for s in code_of:
+        code_of[s] = index[s.strip()]
+    codes = np.fromiter(map(code_of.__getitem__, strings), dtype=np.intp,
+                        count=len(strings))
+    return names, codes
+
+
+def _series(patients, variables, hours, values):
+    return _Series(*_factorize(patients), *_factorize(variables),
+                   np.asarray(hours, dtype=np.int64),
+                   np.asarray(values, dtype=float))
+
+
+def _read_series_columns(path, T, fixed):
+    """The rows of ``timeseries.csv`` read in one pass by numpy's C parser,
+    or None when the row reader might read or judge any of them otherwise.
+
+    That is: an unreadable, empty or non-UTF-8 file, a header that is not
+    the expected one or holds a quote or a carriage return, a byte numpy
+    skips as whitespace but Python does not, any row numpy cannot parse
+    (Python's parser also takes ``1_0`` and non-ASCII digits), and any row
+    the row reader rejects: a non-finite value, an hour outside [1, T], an
+    unknown variable or a repeated (patient, variable, hour).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    end = data.find(b"\n")
+    header = (data if end < 0 else data[:end]).removesuffix(b"\r")
+    if (b'"' in header or b"\r" in header
+            or any(space in data for space in _NUMPY_ONLY_SPACE)):
+        return None
+    del data
+    try:
+        cells = header.decode("utf-8").split(",")
+    except UnicodeDecodeError:
+        return None
+    if [c.strip() for c in cells][:len(_SERIES_HEADER)] != _SERIES_HEADER:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # an empty file, and before numpy 2 an hour such as "1.0", warn
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=(0, 1, 2, 3),
+                dtype=_SERIES_DTYPE, comments=None, quotechar='"',
+                encoding="utf-8", ndmin=1,
+            )
+    except (OSError, ValueError, Warning):
+        return None
+    hour, value = table["hour"], table["value"]
+    if not (len(table) and np.isfinite(value).all()
+            and 1 <= hour.min() and hour.max() <= T):
+        return None
+    series = _series(table["patient"].tolist(), table["variable"].tolist(),
+                     hour, value)
+    if fixed is not None and not set(series.variables) <= set(fixed):
+        return None
+    key = (series.p * len(series.variables) + series.v) * T + (series.hour - 1)
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        return None
+    return series
+
+
+def _read_series_rows(path, T, fixed):
+    """The rows of ``timeseries.csv`` read and checked one by one, so that
+    the first bad row raises the error that names it."""
+    line_of = {}  # (pid, var, hour) -> line
+    values = []
+    rows = _read_rows(path, _SERIES_HEADER)
+    next(rows)  # the header
+    for line_no, row in rows:
+        pid, var = row[0].strip(), row[1].strip()
+        try:
+            hour = int(row[2])
+        except ValueError:
+            raise ParseError(f"bad hour {row[2]!r}", line=line_no) from None
+        try:
+            value = float(row[3])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad value {row[3]!r} (not a finite number)",
+                             line=line_no)
+        if not 1 <= hour <= T:
+            raise RangeError(
+                f"line {line_no}: hour {hour} outside [1, {T}] for patient {pid}"
+            )
+        if fixed is not None and var not in fixed:
+            raise SchemaError(f"line {line_no}: unknown variable {var!r}")
+        key = (pid, var, hour)
+        if key in line_of:
+            raise ConflictError(
+                f"duplicate ({pid}, {var}, {hour}) at lines "
+                f"{line_of[key]} and {line_no}"
+            )
+        line_of[key] = line_no
+        values.append(value)
+    pids, variables, hours = zip(*line_of) if line_of else ((), (), ())
+    return _series(pids, variables, hours, values)
+
+
 def ingest_csv(
     timeseries_path,
     static_path,
@@ -169,41 +301,11 @@ def ingest_csv(
             raise ConflictError(f"duplicate label row for patient {pid}")
         label_of[pid] = lab
 
-    # time series
-    series = {}  # (pid, var, hour) -> (value, line)
-    seen_vars = set()
+    # time series: the row reader runs only when the columnar one declines
     fixed = list(variables) if variables is not None else None
-    rows = _read_rows(timeseries_path, ["patient_id", "variable", "hour", "value"])
-    next(rows)  # the header
-    for line_no, row in rows:
-        pid, var = row[0].strip(), row[1].strip()
-        try:
-            hour = int(row[2])
-        except ValueError:
-            raise ParseError(f"bad hour {row[2]!r}", line=line_no) from None
-        try:
-            value = float(row[3])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ParseError(f"bad value {row[3]!r} (not a finite number)",
-                             line=line_no)
-        if not 1 <= hour <= T:
-            raise RangeError(
-                f"line {line_no}: hour {hour} outside [1, {T}] for patient {pid}"
-            )
-        if fixed is not None and var not in fixed:
-            raise SchemaError(f"line {line_no}: unknown variable {var!r}")
-        key = (pid, var, hour)
-        if key in series:
-            raise ConflictError(
-                f"duplicate ({pid}, {var}, {hour}) at lines "
-                f"{series[key][1]} and {line_no}"
-            )
-        seen_vars.add(var)
-        series[key] = (value, line_no)
-
-    variable_names = fixed if fixed is not None else sorted(seen_vars)
+    series = (_read_series_columns(timeseries_path, T, fixed)
+              or _read_series_rows(timeseries_path, T, fixed))
+    variable_names = fixed if fixed is not None else series.variables
 
     # static
     rows = _read_rows(static_path, ["patient_id"])
@@ -221,7 +323,7 @@ def ingest_csv(
         static_rows[pid] = [c.strip() for c in row[1:]]
 
     # cohort = labelled patients that have at least one series row
-    pids_with_series = {pid for (pid, _, _) in series}
+    pids_with_series = set(series.patients)
     patient_ids = sorted(p for p in label_of if p in pids_with_series)
     if not patient_ids:
         raise DataError("no labelled patient has any time-series rows")
@@ -250,11 +352,13 @@ def ingest_csv(
     var_index = {v: d for d, v in enumerate(variable_names)}
     pid_index = {p: n for n, p in enumerate(patient_ids)}
 
+    # series rows for unlabelled patients are ignored
+    row = np.array([pid_index.get(p, -1) for p in series.patients],
+                   dtype=np.intp)[series.p]
+    var = np.array([var_index[v] for v in series.variables], dtype=np.intp)[series.v]
+    kept = row >= 0
     values = np.full((N, D, T), np.nan)
-    for (pid, var, hour), (value, _) in series.items():
-        if pid not in pid_index:
-            continue  # series rows for unlabelled patients are ignored
-        values[pid_index[pid], var_index[var], hour - 1] = value
+    values[row[kept], var[kept], series.hour[kept] - 1] = series.value[kept]
 
     S = np.empty((N, len(static_names)))
     for pid, n in pid_index.items():

@@ -7,22 +7,26 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .model import forward
 from .summaries import FRAC_ABOVE, FRAC_BELOW, SUMMARY_NAMES, sigmoid
 
 
 def auc(scores, labels):
-    """ROC AUC via the rank-sum statistic, ties counted half."""
+    """ROC AUC via the rank-sum statistic, ties counted half.  A non-finite
+    score has no rank, so it is a NumericalError."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    n_bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if n_bad:
+        raise NumericalError(f"AUC undefined: {n_bad} non-finite score(s)")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: both classes must be present")
     order = np.argsort(scores, kind="mergesort")
     sorted_scores = scores[order]
-    # average 1-based rank of each tie run; NaN != NaN, so each NaN is its own run
+    # average 1-based rank of each tie run
     starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
     counts = np.diff(np.r_[starts, len(scores)])
     ranks = np.empty(len(scores))

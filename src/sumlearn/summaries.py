@@ -209,7 +209,8 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
     first = np.where(measured, (first_index + 1) / T, 1.0)
     last = np.where(measured, (T - observed[..., ::-1].argmax(-1)) / T, 0.0)
 
-    rows_per_block = max(1, BLOCK_BYTES // (8 * D * T))
+    # no more rows than the batch has: the blocks cover the same rows
+    rows_per_block = max(1, min(N, BLOCK_BYTES // (8 * D * T)))
     buffers = [np.empty(n * rows_per_block * D * T)
                for n in (n_feat, len(DEVIATION_WINDOWS), len(SECOND_PASS_WINDOWS))]
     sums = np.empty(D * n_feat * rows_per_block * cols.shape[-1])

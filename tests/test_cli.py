@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -62,6 +63,23 @@ class TestTrain:
             (trained_dir / "seed_0" / "metrics.json").read_text()
         )
         assert {"train_auc", "test_auc", "seed"} <= set(metrics)
+
+
+    def test_normalization_warnings_go_to_stderr(self, cohort_dir, tmp_path,
+                                                 capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        with open(cohort / "timeseries.csv", "a") as fh:
+            fh.write("unlabelled,ghost,1,5.0\n")  # no labelled patient has ghost
+        code = main([
+            "train", "--cohort-dir", str(cohort), "--out", str(tmp_path / "run"),
+            "--t", "12", "--seeds", "0,1", "--epochs", "2", "--eval-interval", "1",
+            "--batch-size", "64",
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == "".join(
+            f"warning: seed {seed}: variable 'ghost' never measured in train\n"
+            for seed in (0, 1))
 
 
 class TestEvalReportAblate:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumlearn.data import fit_normalization
+from sumlearn.errors import NumericalError
 from sumlearn.evaluate import (
     _window_from_C,
     ablate_top_n,
@@ -62,6 +63,12 @@ class TestAuc:
         assert auc(scores, labels) == pytest.approx(
             brute_force_auc(scores, labels), abs=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("labels", [[1, 0, 0], [0, 1, 1]])
+    def test_non_finite_score_is_a_numerical_error(self, bad, labels):
+        with pytest.raises(NumericalError, match="1 non-finite score"):
+            auc(np.array([bad, 0.1, 0.2]), np.array(labels))
 
     def test_invariant_to_monotone_transform(self, rng):
         scores = rng.random(50)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sumlearn.summaries
 from sumlearn.summaries import (
     BLOCK_BYTES,
     EPS,
@@ -523,3 +526,23 @@ def test_missingness_summaries_ignore_values_across_blocks(seed):
     for i in (EVER_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE,
               SWITCH_COUNT, FIRST_MEASURED, LAST_MEASURED):
         assert np.array_equal(h1[:, :, i], h2[:, :, i])
+
+
+def test_scratch_buffers_are_sized_by_the_batch(monkeypatch):
+    """A 1-row batch gets one row of scratch however large a block may be,
+    and the same summaries and tangents."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((1, 6, 24))
+    M = (rng.random((1, 6, 24)) < 0.7).astype(float)
+    params = full_window_params(6, t=24)
+    expected = compute_summary_tensor(X, M, params, tangent=True)
+    monkeypatch.setattr(sumlearn.summaries, "BLOCK_BYTES", 2 ** 30)
+    tracemalloc.start()
+    try:
+        got = compute_summary_tensor(X, M, params, tangent=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)

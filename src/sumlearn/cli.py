@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,17 @@ def _count(text):
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
+
+
+def _positive(text):
+    """argparse type of --epsilon and --tolerance: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
 
 
 def _int_list(text):
@@ -104,20 +116,17 @@ def _config(cls, args):
     return cls(**values)
 
 
-def _load_cohort(args, T, variables=None, categorical=None):
-    cat = categorical if categorical is not None else ()
-    if getattr(args, "cohort_dir", None):
+def _load_cohort(args, T, **fixed):
+    """The cohort of --cohort-dir or of the three file flags; ``fixed`` are
+    ingest_csv's keyword arguments."""
+    if args.cohort_dir:
         base = Path(args.cohort_dir)
-        return data.ingest_csv(
-            base / "timeseries.csv", base / "static.csv", base / "labels.csv",
-            T, categorical_columns=cat, variables=variables,
-        )
-    if not (args.timeseries and args.static and args.labels):
+        paths = base / "timeseries.csv", base / "static.csv", base / "labels.csv"
+    elif args.timeseries and args.static and args.labels:
+        paths = args.timeseries, args.static, args.labels
+    else:
         raise UsageError("provide --cohort-dir or all of --timeseries/--static/--labels")
-    return data.ingest_csv(
-        args.timeseries, args.static, args.labels, T,
-        categorical_columns=cat, variables=variables,
-    )
+    return data.ingest_csv(*paths, T, **fixed)
 
 
 def _add_cohort_args(p):
@@ -125,7 +134,6 @@ def _add_cohort_args(p):
     p.add_argument("--timeseries")
     p.add_argument("--static")
     p.add_argument("--labels")
-    p.add_argument("--categorical", help="comma-separated categorical static columns")
 
 
 def cmd_synth(args):
@@ -180,7 +188,7 @@ def cmd_train(args):
     config = _config(model.TrainConfig, args)
     seeds = args.seeds
     categorical = args.categorical.split(",") if args.categorical else ()
-    raw = _load_cohort(args, args.t, categorical=categorical)
+    raw = _load_cohort(args, args.t, categorical_columns=categorical)
     out = Path(args.out)
     all_metrics = []
     for seed in seeds:
@@ -210,13 +218,9 @@ def cmd_train(args):
 
 def _load_eval_inputs(args):
     ckpt = model.load_checkpoint(args.checkpoint)
-    raw = _load_cohort(args, ckpt["T"], variables=ckpt["variable_names"])
+    raw = _load_cohort(args, ckpt["T"], variables=ckpt["variable_names"],
+                       static_names=ckpt["static_names"])
     batch = data.build_batch(raw, ckpt["stats"].population_median)
-    if batch.static_names != ckpt["static_names"]:
-        raise DataError(
-            "static columns do not match checkpoint: "
-            f"{batch.static_names} vs {ckpt['static_names']}"
-        )
     batch = data.apply_normalization(batch, ckpt["stats"])
     return ckpt, batch
 
@@ -312,6 +316,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train across one or more seeds")
     _add_cohort_args(p)
+    p.add_argument("--categorical", help="comma-separated categorical static columns")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seeds", type=_int_list, default="0",
@@ -352,8 +357,8 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--epsilon", type=_positive, default=1e-5)
+    p.add_argument("--tolerance", type=_positive, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -278,12 +278,18 @@ def ingest_csv(
     T,
     categorical_columns=(),
     variables=None,
+    static_names=None,
 ):
     """Read the three-CSV cohort format into a RawCohort.
 
     ``variables`` optionally fixes the variable set and order (e.g. from a
     checkpoint); names outside it raise SchemaError.  Categorical static
-    columns are one-hot encoded as ``<col>=<value>``.
+    columns are one-hot encoded as ``<col>=<value>``, one column per value
+    among the cohort's patients.  ``static_names`` optionally fixes the static
+    columns, their order and the one-hot categories (e.g. from a checkpoint;
+    ``categorical_columns`` is then not read): each name is a column of the
+    static header or ``<col>=<value>``, and a header column no name uses
+    raises SchemaError.
     """
     # labels
     label_of = {}
@@ -332,21 +338,19 @@ def ingest_csv(
         raise SchemaError(f"patients missing static rows: {missing_static[:5]}")
 
     # one-hot expansion of categorical static columns
-    categorical = set(categorical_columns)
-    unknown = categorical - set(raw_cols)
-    if unknown:
-        raise SchemaError(f"categorical columns not in static header: {unknown}")
-    static_names = []
-    encoders = []  # per output column: (source index, category or None)
-    for j, col in enumerate(raw_cols):
-        if col in categorical:
-            cats = sorted({static_rows[p][j] for p in patient_ids})
-            for cat in cats:
-                static_names.append(f"{col}={cat}")
-                encoders.append((j, cat))
-        else:
-            static_names.append(col)
-            encoders.append((j, None))
+    if static_names is None:
+        categorical = set(categorical_columns)
+        unknown = categorical - set(raw_cols)
+        if unknown:
+            raise SchemaError(f"categorical columns not in static header: {unknown}")
+        static_names = []
+        for j, col in enumerate(raw_cols):
+            if col in categorical:
+                cats = sorted({static_rows[p][j] for p in patient_ids})
+                static_names.extend(f"{col}={cat}" for cat in cats)
+            else:
+                static_names.append(col)
+    encoders = _static_encoders(static_names, raw_cols)
 
     N, D = len(patient_ids), len(variable_names)
     var_index = {v: d for d, v in enumerate(variable_names)}
@@ -379,7 +383,29 @@ def ingest_csv(
                 S[n, k] = 1.0 if row[j] == cat else 0.0
 
     y = np.array([label_of[p] for p in patient_ids], dtype=float)
-    return RawCohort(values, S, y, patient_ids, variable_names, static_names)
+    return RawCohort(values, S, y, patient_ids, variable_names, list(static_names))
+
+
+def _static_encoders(static_names, raw_cols):
+    """(source column index, category or None) of each static name: a column
+    of the header as it is, or ``<col>=<category>`` of a one-hot column (the
+    longest such column)."""
+    if len(set(raw_cols)) < len(raw_cols):
+        raise SchemaError(f"static header repeats a column: {raw_cols}")
+    encoders = []
+    for name in static_names:
+        if name in raw_cols:
+            encoders.append((raw_cols.index(name), None))
+            continue
+        cols = [col for col in raw_cols if name.startswith(col + "=")]
+        if not cols:
+            raise SchemaError(f"static column {name!r} not in static header")
+        col = max(cols, key=len)
+        encoders.append((raw_cols.index(col), name[len(col) + 1:]))
+    unused = sorted(set(raw_cols) - {raw_cols[j] for j, _ in encoders})
+    if unused:
+        raise SchemaError(f"static columns {unused} not in the fixed static columns")
+    return encoders
 
 
 def compute_population_median(raw):

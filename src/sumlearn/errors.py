@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+import math
+from dataclasses import fields
+
 
 class SumlearnError(Exception):
     """Base class for all package errors."""
@@ -41,3 +44,12 @@ class NumericalError(SumlearnError):
 
 class UsageError(SumlearnError):
     """Bad command-line usage."""
+
+
+def check_finite_fields(obj):
+    """DataError for the first ``float`` field of dataclass ``obj`` that holds
+    a NaN or an infinity (None passes)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "float" and value is not None and not math.isfinite(value):
+            raise DataError(f"{f.name} = {value!r} is not finite")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -141,28 +141,16 @@ def key_feature_report(summary_params, model_params, stats, variable_names, T,
     return rows
 
 
-REPORT_COLUMNS = (
-    "rank", "variable", "summary", "window_start", "window_end",
-    "threshold_raw", "coefficient",
-)
+def _cell(value):
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def report_tsv(rows):
-    lines = ["\t".join(REPORT_COLUMNS)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                [
-                    str(r.rank),
-                    r.variable,
-                    r.summary,
-                    "" if r.window_start is None else str(r.window_start),
-                    "" if r.window_end is None else str(r.window_end),
-                    "" if r.threshold_raw is None else f"{r.threshold_raw:.6g}",
-                    f"{r.coefficient:.6g}",
-                ]
-            )
-        )
+    names = [f.name for f in fields(KeyFeatureRow)]
+    lines = ["\t".join(names)]
+    lines += ["\t".join(_cell(getattr(r, name)) for name in names) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,7 @@ from .data import class_weights
 from .errors import NumericalError
 # assemble_features and compute_summary_tensor are not called here (model.forward
 # calls them), but the benchmark's trace shims look both up on this module.
-from .model import assemble_features, forward, objective, penalty_grad, total_loss
+from .model import PENALTIES, assemble_features, forward, objective, total_loss
 from .summaries import FRAC_ABOVE, FRAC_BELOW, N_SUMMARIES, sigmoid
 from .summaries import compute_summary_tensor
 
@@ -78,7 +78,8 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
         raise NumericalError(f"non-finite loss ({where})")
 
     r = weights * (sigmoid(z) - batch.y) / N
-    d_coeffs = design.T @ r + config.alpha * penalty_grad(model_params.coeffs, config)
+    d_penalty = PENALTIES[config.penalty][1](model_params.coeffs, config.tau_hs)
+    d_coeffs = design.T @ r + config.alpha * d_penalty
     if tangents is None:  # hard mode and the modes without summaries
         d_summaries = np.zeros_like(summary_params.C), np.zeros(D), np.zeros(D)
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -10,13 +11,21 @@ import numpy as np
 
 from . import summaries
 from .data import NormalizationStats, class_weights
-from .errors import CheckpointFormatError, DataError
+from .errors import CheckpointFormatError, DataError, check_finite_fields
 from .summaries import N_SUMMARIES, SUMMARY_NAMES, compute_summary_tensor, sigmoid
 
 EPS_HS = 1e-8
 
-MODES = ("relaxed", "hard", "time_of_prediction_only", "flat_series")
-PENALTIES = ("horseshoe", "l2", "none")
+# mode -> the column blocks of its design matrix, in order: the summaries H
+# (variable-major), the statics, and the series either at the time of
+# prediction (xT, mT) or at every hour (x, m)
+LAYOUTS = {
+    "relaxed": ("H", "static", "xT", "mT"),
+    "hard": ("H", "static", "xT", "mT"),
+    "time_of_prediction_only": ("static", "xT", "mT"),
+    "flat_series": ("static", "x", "m"),
+}
+MODES = tuple(LAYOUTS)
 
 CHECKPOINT_VERSION = 1
 
@@ -61,15 +70,16 @@ class TrainConfig:
     val_fraction: float = 0.15
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise DataError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        check_finite_fields(self)
+        _layout(self.mode)
         if self.penalty not in PENALTIES:
             raise DataError(f"unknown penalty {self.penalty!r}")
         for name in ("learning_rate", "tau_hs", "tau_temp"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive")
-        if self.alpha < 0:
-            raise DataError("alpha must be non-negative")
+        for name in ("alpha", "lr_summary"):  # lr_summary may be None
+            if (getattr(self, name) or 0) < 0:
+                raise DataError(f"{name} must be non-negative")
         for name in ("batch_size", "max_epochs", "eval_interval"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
@@ -79,50 +89,36 @@ class TrainConfig:
         return self.learning_rate if self.lr_summary is None else self.lr_summary
 
 
+def _layout(mode):
+    """LAYOUTS[mode]; an unknown mode is a DataError."""
+    if mode not in LAYOUTS:
+        raise DataError(f"unknown mode {mode!r}; expected one of {MODES}")
+    return LAYOUTS[mode]
+
+
 def feature_names_for(variable_names, static_names, T, mode):
     """Column names of the assembled design matrix, in order."""
     names = []
-    if mode in ("relaxed", "hard"):
-        for var in variable_names:
-            for s in SUMMARY_NAMES:
-                names.append(f"{var}:{s}")
-    names.extend(f"static:{s}" for s in static_names)
-    if mode == "flat_series":
-        for var in variable_names:
-            names.extend(f"x:{var}@{t}" for t in range(1, T + 1))
-        for var in variable_names:
-            names.extend(f"m:{var}@{t}" for t in range(1, T + 1))
-    else:
-        names.extend(f"xT:{var}" for var in variable_names)
-        names.extend(f"mT:{var}" for var in variable_names)
+    for block in _layout(mode):
+        if block == "H":
+            names += [f"{v}:{s}" for v in variable_names for s in SUMMARY_NAMES]
+        elif block == "static":
+            names += [f"static:{s}" for s in static_names]
+        elif block in ("xT", "mT"):
+            names += [f"{block}:{v}" for v in variable_names]
+        else:  # one column per hour
+            names += [f"{block}:{v}@{t}" for v in variable_names
+                      for t in range(1, T + 1)]
     return names
 
 
 def assemble_features(H, S, X, M, mode):
-    """Design matrix (N, F) in the fixed column order.
-
-    full modes:              [H (d-major, i-minor), S, X_T, M_T]
-    time_of_prediction_only: [S, X_T, M_T]
-    flat_series:             [S, X flattened, M flattened]
-    """
-    if mode not in MODES:
-        raise DataError(f"unknown mode {mode!r}")
+    """Design matrix (N, F): the blocks of LAYOUTS[mode], in order."""
     N = X.shape[0]
-    cols = []
-    if mode in ("relaxed", "hard"):
-        if H is None:
-            raise DataError("summary tensor required for full modes")
-        if H.shape[0] != N:
-            raise DataError("H and X disagree on the number of examples")
-        cols.append(H.reshape(N, -1))
-    cols.append(S)
-    if mode == "flat_series":
-        cols.append(X.reshape(N, -1))
-        cols.append(M.reshape(N, -1))
-    else:
-        cols.append(X[:, :, -1])
-        cols.append(M[:, :, -1])
-    return np.concatenate(cols, axis=1)
+    if "H" in _layout(mode) and (H is None or H.shape[0] != N):
+        raise DataError("full modes need the summary tensor H of the N examples")
+    blocks = {"H": H, "static": S, "xT": X[:, :, -1], "mT": M[:, :, -1], "x": X, "m": M}
+    return np.concatenate([blocks[b].reshape(N, -1) for b in LAYOUTS[mode]], axis=1)
 
 
 def forward(batch, summary_params, model_params, mode, tangent=False):
@@ -130,7 +126,7 @@ def forward(batch, summary_params, model_params, mode, tangent=False):
     matrix they come from, and with ``tangent`` (relaxed mode only) the
     (dH/dC, dH/dphi) of the same kernel pass, else None."""
     H = tangents = None
-    if mode in ("relaxed", "hard"):
+    if "H" in _layout(mode):
         H = compute_summary_tensor(batch.X, batch.M, summary_params, mode,
                                    tangent=tangent)
         if tangent:
@@ -163,26 +159,20 @@ def horseshoe_penalty_grad(coeffs, tau_hs):
     return 4.0 * tau_hs**2 * coeffs / (b2**2 * u * np.log(u))
 
 
-def penalty_value(coeffs, config):
-    if config.penalty == "horseshoe":
-        return horseshoe_penalty(coeffs, config.tau_hs)
-    if config.penalty == "l2":
-        return float((np.asarray(coeffs) ** 2).sum())
-    return 0.0
-
-
-def penalty_grad(coeffs, config):
-    if config.penalty == "horseshoe":
-        return horseshoe_penalty_grad(coeffs, config.tau_hs)
-    if config.penalty == "l2":
-        return 2.0 * np.asarray(coeffs)
-    return np.zeros_like(coeffs)
+# penalty -> (value, gradient), each of (coeffs, tau_hs)
+PENALTIES = {
+    "horseshoe": (horseshoe_penalty, horseshoe_penalty_grad),
+    "l2": (lambda coeffs, tau_hs: float((np.asarray(coeffs) ** 2).sum()),
+           lambda coeffs, tau_hs: 2.0 * np.asarray(coeffs)),
+    "none": (lambda coeffs, tau_hs: 0.0,
+             lambda coeffs, tau_hs: np.zeros_like(coeffs)),
+}
 
 
 def objective(z, y, weights, coeffs, config):
     """Weighted BCE of the logits z plus alpha * penalty of the coefficients."""
-    return (weighted_bce_from_logits(z, y, weights)
-            + config.alpha * penalty_value(coeffs, config))
+    penalty = PENALTIES[config.penalty][0](coeffs, config.tau_hs)
+    return weighted_bce_from_logits(z, y, weights) + config.alpha * penalty
 
 
 def total_loss(summary_params, model_params, batch, config, weights=None):
@@ -201,6 +191,8 @@ _CKPT_FIELDS = (
     "version", "D", "I", "P", "T", "feature_names", "coeffs", "bias",
     "C", "phi_plus", "phi_minus", "tau_temp", "normalization", "config", "seed",
 )
+_STATS_FIELDS = tuple(f.name for f in fields(NormalizationStats)
+                      if f.name != "warnings")
 
 
 def save_checkpoint(path, summary_params, model_params, stats, config,
@@ -221,11 +213,7 @@ def save_checkpoint(path, summary_params, model_params, stats, config,
         "normalization": {
             "variable_names": list(variable_names),
             "static_names": list(static_names),
-            "mean": stats.mean.tolist(),
-            "std": stats.std.tolist(),
-            "static_mean": stats.static_mean.tolist(),
-            "static_std": stats.static_std.tolist(),
-            "population_median": stats.population_median.tolist(),
+            **{key: getattr(stats, key).tolist() for key in _STATS_FIELDS},
         },
         "config": asdict(config),
         "seed": seed,
@@ -233,14 +221,27 @@ def save_checkpoint(path, summary_params, model_params, stats, config,
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
-def _array(path, doc, key, shape):
-    """doc[key] as a float array of the given shape."""
+def _numbers(value):
+    """Whether a JSON value is a number (not a bool) or a list of such values,
+    at any depth."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return type(value) in (int, float)
+
+
+def _array(path, doc, key, shape, positive=False):
+    """doc[key] as a finite float array of the given shape (with
+    ``positive``, of positive entries)."""
     try:
-        value = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError):
+        value = np.array(doc[key], dtype=float) if _numbers(doc[key]) else None
+    except (ValueError, OverflowError):  # ragged, or an int beyond float
         value = None
     if value is None or value.shape != shape:
         raise CheckpointFormatError(f"{path}: {key} is not a {shape} array")
+    if not np.isfinite(value).all():
+        raise CheckpointFormatError(f"{path}: {key} is not finite")
+    if positive and not (value > 0).all():
+        raise CheckpointFormatError(f"{path}: {key} is not positive")
     return value
 
 
@@ -249,9 +250,12 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
 
 def _value(path, name, value, kind, positive=False):
     """``value``, checked to be a JSON value of field type ``kind`` ('int',
-    'float' or 'str'; an int passes as a float, a bool as neither)."""
+    'float' or 'str'; an int passes as a float, a bool as neither; a float
+    must be finite)."""
     if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
         raise CheckpointFormatError(f"{path}: {name} = {value!r} is not {kind}")
+    if kind == "float" and not abs(value) <= sys.float_info.max:  # also a huge int
+        raise CheckpointFormatError(f"{path}: {name} = {value!r} is not finite")
     if positive and not value > 0:
         raise CheckpointFormatError(f"{path}: {name} = {value!r} is not positive")
     return value
@@ -268,7 +272,7 @@ def load_checkpoint(path):
     missing = [f for f in _CKPT_FIELDS if f not in doc]
     if missing:
         raise CheckpointFormatError(f"{path}: missing fields {missing}")
-    if doc["version"] != CHECKPOINT_VERSION:
+    if isinstance(doc["version"], bool) or doc["version"] != CHECKPOINT_VERSION:
         raise CheckpointFormatError(
             f"{path}: unsupported version {doc['version']!r}"
         )
@@ -276,8 +280,7 @@ def load_checkpoint(path):
         if not isinstance(doc[key], dict):
             raise CheckpointFormatError(f"{path}: {key} is not a JSON object")
     norm = doc["normalization"]
-    for key in ("variable_names", "static_names", "mean", "std",
-                "static_mean", "static_std", "population_median"):
+    for key in ("variable_names", "static_names", *_STATS_FIELDS):
         if key not in norm:
             raise CheckpointFormatError(f"{path}: normalization missing {key!r}")
     for name, names in (("feature_names", doc["feature_names"]),
@@ -296,12 +299,29 @@ def load_checkpoint(path):
         value = doc["config"][f.name]
         if value is not None or f.default is not None:
             _value(path, f"config.{f.name}", value, f.type)
-    D, P = len(norm["variable_names"]), len(norm["static_names"])
+    try:
+        config = TrainConfig(**doc["config"])
+    except DataError as exc:
+        raise CheckpointFormatError(f"{path}: config: {exc}") from None
+    T = _value(path, "T", doc["T"], "int", positive=True)
+    variable_names, static_names = norm["variable_names"], norm["static_names"]
+    D, P = len(variable_names), len(static_names)
+    for key, size in (("D", D), ("I", N_SUMMARIES), ("P", P)):
+        if _value(path, key, doc[key], "int") != size:
+            raise CheckpointFormatError(f"{path}: {key} = {doc[key]}, expected {size}")
+    # flat_series has 2 T names per variable, so no T above the stored count
+    # can match; capping T there gives the same verdict without building the
+    # names of a huge T
+    F = len(doc["feature_names"])
+    if doc["feature_names"] != feature_names_for(variable_names, static_names,
+                                                 min(T, F), config.mode):
+        raise CheckpointFormatError(
+            f"{path}: feature_names are not the {config.mode} design columns "
+            "of the variable and static names")
     stats = NormalizationStats(*(
-        _array(path, norm, key, shape) for key, shape in (
-            ("mean", (D,)), ("std", (D,)), ("static_mean", (P,)),
-            ("static_std", (P,)), ("population_median", (D,)),
-        )
+        _array(path, norm, key, (P,) if key.startswith("static_") else (D,),
+               positive=key.endswith("std"))
+        for key in _STATS_FIELDS
     ))
     summary_params = summaries.SummaryParams(
         _array(path, doc, "C", (D, N_SUMMARIES)),
@@ -317,9 +337,9 @@ def load_checkpoint(path):
         "summary_params": summary_params,
         "model_params": model_params,
         "stats": stats,
-        "config": TrainConfig(**doc["config"]),
-        "variable_names": list(norm["variable_names"]),
-        "static_names": list(norm["static_names"]),
-        "T": _value(path, "T", doc["T"], "int", positive=True),
-        "seed": doc["seed"],
+        "config": config,
+        "variable_names": list(variable_names),
+        "static_names": list(static_names),
+        "T": T,
+        "seed": _value(path, "seed", doc["seed"], "int"),
     }

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import RawCohort, build_batch
-from .errors import DataError
+from .errors import DataError, check_finite_fields
 from .summaries import sigmoid
 
 AR_COEFF = 0.8
@@ -54,6 +54,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
+        for name in ("n_examples", "n_static"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be >= 1")
         planted = {self.trend_var, self.threshold_var, self.missing_var}
         if len(planted) != 3 or max(planted) >= self.n_variables:
             raise DataError("planted variables must be distinct and in range")

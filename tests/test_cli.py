@@ -1,13 +1,22 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sumlearn import SynthSpec, TrainConfig
+from sumlearn import SynthSpec, TrainConfig, apply_normalization, auc, predict
 from sumlearn.cli import FIELD_TYPES, build_parser, main, read_config
+from sumlearn.data import build_batch, ingest_csv
+from sumlearn.model import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +126,40 @@ class TestEvalReportAblate:
         assert len(lines) == 4
 
 
+    def test_eval_and_ablate_score_a_categorical_model(self, cohort_dir, tmp_path,
+                                                       capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(cohort_dir, cohort)
+        lines = (cohort / "static.csv").read_text().splitlines()
+        units = ["CCU", "MICU", "SICU"]
+        (cohort / "static.csv").write_text("".join(
+            f"{line},{'unit' if k == 0 else units[k % 3]}\n"
+            for k, line in enumerate(lines)))
+        run = tmp_path / "run"
+        assert main([
+            "train", "--cohort-dir", str(cohort), "--out", str(run), "--t", "12",
+            "--epochs", "20", "--eval-interval", "10", "--batch-size", "64",
+            "--lr", "0.05", "--categorical", "unit",
+        ]) == 0
+        ckpt = run / "seed_0" / "model.ckpt"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--cohort-dir", str(cohort)]) == 0
+        printed = json.loads(capsys.readouterr().out)["auc"]
+        assert main(["ablate", "--checkpoint", str(ckpt), "--cohort-dir", str(cohort),
+                     "--n-list", "1,5", "--out", str(tmp_path / "abl.tsv")]) == 0
+
+        loaded = load_checkpoint(ckpt)
+        assert {"unit=CCU", "unit=MICU", "unit=SICU"} <= set(loaded["static_names"])
+        raw = ingest_csv(cohort / "timeseries.csv", cohort / "static.csv",
+                         cohort / "labels.csv", 12, categorical_columns=("unit",))
+        stats = loaded["stats"]
+        batch = apply_normalization(build_batch(raw, stats.population_median), stats)
+        scores = predict(batch, loaded["summary_params"], loaded["model_params"],
+                         loaded["config"].mode)
+        assert printed == auc(scores, batch.y)
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self):
         assert main(["train", "--out", "/tmp/nowhere"]) == 1
@@ -214,6 +257,10 @@ class TestDeterminism:
             a = (tmp_path / "a" / "seed_3" / name).read_bytes()
             b = (tmp_path / "b" / "seed_3" / name).read_bytes()
             assert a == b, name
+
+
+# the loader's message for feature_names that are not the checkpoint's layout
+LAYOUT = "feature_names are not the relaxed design columns"
 
 
 def assert_fails(capsys, code, expected_code, needle):
@@ -318,6 +365,38 @@ class TestTypedFailures:
         assert_fails(capsys, code, 2, f"{field} must be >= 1")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("args, needle", [
+        (["train", "--lr", "nan"], "learning_rate = nan is not finite"),
+        (["train", "--alpha", "nan"], "alpha = nan is not finite"),
+        (["train", "--tau-temp", "inf"], "tau_temp = inf is not finite"),
+        (["train", "--lr-summary", "-1"], "lr_summary must be non-negative"),
+        (["synth", "--n", "-3"], "n_examples must be >= 1"),
+        (["synth", "--n", "0"], "n_examples must be >= 1"),
+        (["synth", "--config", "n_static = 0\n"], "n_static must be >= 1"),
+        (["synth", "--prevalence", "inf"], "prevalence = inf is not finite"),
+    ], ids=["nan_lr", "nan_alpha", "inf_tau_temp", "negative_lr_summary",
+            "negative_n", "zero_n", "zero_n_static", "inf_prevalence"])
+    def test_config_value_out_of_range_is_2(self, cohort_dir, tmp_path, capsys,
+                                            args, needle):
+        if "--config" in args:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(args[-1])
+            args = args[:-1] + [str(cfg)]
+        if args[0] == "train":
+            args += ["--cohort-dir", str(cohort_dir), "--t", "12"]
+        code = main(args + ["--out", str(tmp_path / "out")])
+        assert_fails(capsys, code, 2, needle)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "0"), ("--epsilon", "-1"), ("--epsilon", "nan"),
+        ("--epsilon", "inf"), ("--tolerance", "x"),
+    ])
+    def test_bad_gradcheck_number_is_1(self, capsys, flag, value):
+        code = main(["gradcheck", flag, value])
+        assert_fails(capsys, code, 1,
+                     f"argument {flag}: {value!r} is not a positive finite number")
+
     def test_missing_checkpoint_is_2(self, cohort_dir, tmp_path, capsys):
         missing = tmp_path / "absent.ckpt"
         code = main(["eval", "--checkpoint", str(missing), "--cohort-dir", str(cohort_dir)])
@@ -330,8 +409,21 @@ class TestTypedFailures:
         (lambda doc: doc["phi_minus"].append(0.0), "phi_minus is not a (4,) array"),
         (lambda doc: doc["config"].update(epochs=1), "unknown ['epochs']"),
         (lambda doc: doc["config"].pop("mode"), "missing ['mode']"),
+        (lambda doc: doc["feature_names"].__setitem__(0, "var9:mean"), LAYOUT),
+        (lambda doc: doc["feature_names"].__setitem__(1, "var0:median"), LAYOUT),
+        (lambda doc: doc["feature_names"].__setitem__(-1, "x:var0@abc"), LAYOUT),
+        (lambda doc: doc["coeffs"].__setitem__(3, math.nan), "coeffs is not finite"),
+        (lambda doc: doc["C"][2].__setitem__(0, math.nan), "C is not finite"),
+        (lambda doc: doc["normalization"]["mean"].__setitem__(1, math.inf),
+         "mean is not finite"),
+        (lambda doc: doc["normalization"]["std"].__setitem__(0, 0.0),
+         "std is not positive"),
+        (lambda doc: doc["normalization"]["static_std"].__setitem__(0, -1.0),
+         "static_std is not positive"),
     ], ids=["short_C", "ragged_C", "short_phi_plus", "long_phi_minus",
-            "unknown_config_key", "missing_config_key"])
+            "unknown_config_key", "missing_config_key", "unknown_variable_feature",
+            "unknown_summary_feature", "non_integer_hour_feature", "nan_coeff",
+            "nan_C", "inf_mean", "zero_std", "negative_static_std"])
     def test_malformed_checkpoint_is_2(self, cohort_dir, trained_dir, tmp_path,
                                        capsys, edit, needle):
         doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
@@ -348,8 +440,15 @@ class TestTypedFailures:
          "config.learning_rate = 'fast' is not float"),
         (lambda doc: {**doc, "tau_temp": 0}, "tau_temp = 0 is not positive"),
         (lambda doc: {**doc, "feature_names": 7}, "feature_names is not a list"),
+        (lambda doc: {**doc, "bias": math.nan}, "bias = nan is not finite"),
+        (lambda doc: {**doc, "tau_temp": math.inf}, "tau_temp = inf is not finite"),
+        (lambda doc: {**doc, "config": {**doc["config"], "alpha": -math.inf}},
+         "config.alpha = -inf is not finite"),
+        (lambda doc: {**doc, "D": 5}, "D = 5, expected 4"),
+        (lambda doc: {**doc, "seed": "0"}, "seed = '0' is not int"),
     ], ids=["not_an_object", "string_T", "string_learning_rate", "zero_tau_temp",
-            "feature_names_not_a_list"])
+            "feature_names_not_a_list", "nan_bias", "inf_tau_temp", "inf_alpha",
+            "wrong_D", "string_seed"])
     def test_checkpoint_value_of_wrong_type_is_2(self, cohort_dir, trained_dir,
                                                  tmp_path, capsys, edit, needle):
         doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
@@ -363,7 +462,7 @@ class TestTypedFailures:
         ("labels.csv", "patient_id,label\np1\n", "line 2: expected 2 fields, got 1"),
         ("timeseries.csv", "patient_id,variable,hour,value\np1,{var},1,inf\n",
          "line 2: bad value 'inf' (not a finite number)"),
-        ("static.csv", "patient_id,age\np1,nan\n",
+        ("static.csv", "patient_id,age{more}\np1,nan{zeros}\n",
          "static value 'nan' for patient p1 column 'age' is not a finite number"),
         ("static.csv", None, "static.csv: cannot read: No such file"),
         ("labels.csv", b"patient_id,label\np1,1\np\xff\xfe,1\n",
@@ -373,10 +472,13 @@ class TestTypedFailures:
     def test_malformed_cohort_is_2(self, trained_dir, tmp_path, capsys, name,
                                    text, needle):
         ckpt = trained_dir / "seed_0" / "model.ckpt"
-        var = json.loads(ckpt.read_text())["normalization"]["variable_names"][0]
+        norm = json.loads(ckpt.read_text())["normalization"]
+        var, more = norm["variable_names"][0], norm["static_names"][1:]  # after age
+        fill = {"var": var, "more": "".join(f",{s}" for s in more),
+                "zeros": ",0" * len(more)}
         files = {
             "timeseries.csv": "patient_id,variable,hour,value\np1,{var},1,80\n",
-            "static.csv": "patient_id,age\np1,50\n",
+            "static.csv": "patient_id,age{more}\np1,50{zeros}\n",
             "labels.csv": "patient_id,label\np1,1\n",
             name: text,
         }
@@ -384,6 +486,146 @@ class TestTypedFailures:
             if isinstance(file_text, bytes):
                 (tmp_path / file_name).write_bytes(file_text)
             elif file_text is not None:
-                (tmp_path / file_name).write_text(file_text.format(var=var))
+                (tmp_path / file_name).write_text(file_text.format(**fill))
         code = main(["eval", "--checkpoint", str(ckpt), "--cohort-dir", str(tmp_path)])
         assert_fails(capsys, code, 2, needle)
+
+
+# ------------------------------------------- fuzzed configs and checkpoints
+#
+# Each example makes one edit to a valid config file or checkpoint document;
+# every edit must end in a typed failure: exit 1 or 2, one stderr line.
+
+def _paths(doc, at=()):
+    """The path (a tuple of keys and indices) of every value in a JSON
+    document, parents before children."""
+    yield at
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, at + (key,))
+
+
+def _get(doc, at):
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+_WRONG_TYPES = ["x", True, {}, [None]]
+_BAD_NAMES = ["var9:mean", "var0:median", "x:var0@abc", "static:bmi", ""]
+
+
+@st.composite
+def checkpoint_edits(draw, doc):
+    """``doc`` with one edit: a dropped key, a wrong JSON type, NaN or an
+    infinity, a wrong length, a renamed feature or name, or a non-positive
+    tau_temp or std."""
+    doc = json.loads(json.dumps(doc))
+    paths = list(_paths(doc))[1:]
+    kind = draw(st.sampled_from(["drop", "type", "nan", "length", "rename",
+                                 "positive"]))
+    if kind == "drop":
+        at = draw(st.sampled_from([p for p in paths
+                                   if isinstance(_get(doc, p[:-1]), dict)]))
+        del _get(doc, at[:-1])[at[-1]]
+    elif kind == "type":
+        at = draw(st.sampled_from(paths))
+        _get(doc, at[:-1])[at[-1]] = draw(st.sampled_from(_WRONG_TYPES))
+    elif kind == "nan":
+        at = draw(st.sampled_from([p for p in paths
+                                   if type(_get(doc, p)) in (int, float)]))
+        _get(doc, at[:-1])[at[-1]] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
+    elif kind == "length":
+        values = _get(doc, draw(st.sampled_from(
+            [p for p in paths if isinstance(_get(doc, p), list)])))
+        if draw(st.booleans()):
+            values.pop()
+        else:
+            values.append(values[-1])
+    elif kind == "rename":
+        key = draw(st.sampled_from(["feature_names", "variable_names",
+                                    "static_names"]))
+        names = doc[key] if key == "feature_names" else doc["normalization"][key]
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.sampled_from(_BAD_NAMES))
+    else:
+        key = draw(st.sampled_from(["tau_temp", "std", "static_std"]))
+        value = draw(st.sampled_from([0, 0.0, -1e-3, -1]))
+        if key == "tau_temp":
+            doc[key] = value
+        else:
+            values = doc["normalization"][key]
+            values[draw(st.integers(0, len(values) - 1))] = value
+    return doc
+
+
+_POSITIVE = ["learning_rate", "tau_hs", "tau_temp", "batch_size", "max_epochs",
+             "eval_interval", "n_examples", "n_static"]
+_BASE = {"train": {"max_epochs": "1", "eval_interval": "1", "batch_size": "64"},
+         "synth": {"n_examples": "50", "n_variables": "3", "T": "8"}}
+
+
+@st.composite
+def config_edits(draw):
+    """(command, config text) with one bad line: a renamed key, a line without
+    '=', a value of the wrong type, NaN or an infinity, or a non-positive
+    value of a field that must be positive."""
+    kind = draw(st.sampled_from(["rename", "no_equals", "type", "nan", "positive"]))
+    key = draw(st.sampled_from(_POSITIVE if kind == "positive"
+                               else sorted(FIELD_TYPES)))
+    train_keys = {f.name for f in dataclasses.fields(TrainConfig)}
+    command = "train" if key in train_keys else "synth"
+    lines = dict(_BASE[command])
+    if kind == "rename":
+        lines[key + "_"] = _BASE[command].get(key, "1")
+    elif kind == "no_equals":
+        lines[key] = None
+    else:
+        lines[key] = draw(st.sampled_from({
+            "type": {"int": ["1.5", "x", ""], "float": ["x", "1e", ""],
+                     "str": ["1", "relaxed hard"]}[FIELD_TYPES[key]],
+            "nan": ["nan", "inf", "-inf", "NaN", "-Infinity"],
+            "positive": ["0", "-1"],
+        }[kind]))
+    return command, "".join(f"{key}\n" if value is None else f"{key} = {value}\n"
+                            for key, value in lines.items())
+
+
+def _one_line_failure(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (1, 2), (argv, code, err)
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), command=st.sampled_from(["eval", "ablate", "report"]))
+def test_fuzzed_checkpoints_fail_typed(cohort_dir, trained_dir, data, command):
+    doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
+    edited = data.draw(checkpoint_edits(doc))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "edited.ckpt"
+        path.write_text(json.dumps(edited))
+        argv = [command, "--checkpoint", str(path)]
+        if command != "report":
+            argv += ["--cohort-dir", str(cohort_dir)]
+        if command == "ablate":
+            argv += ["--n-list", "1,5", "--out", str(Path(directory) / "a.tsv")]
+        _one_line_failure(argv)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(edit=config_edits())
+def test_fuzzed_configs_fail_typed(cohort_dir, edit):
+    command, text = edit
+    with tempfile.TemporaryDirectory() as directory:
+        cfg = Path(directory) / "run.cfg"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out", str(Path(directory) / "out")]
+        if command == "train":
+            argv += ["--cohort-dir", str(cohort_dir), "--t", "12"]
+        _one_line_failure(argv)
+        assert not (Path(directory) / "out").exists()

@@ -142,6 +142,20 @@ class TestIngest:
         assert raw.S[p1, raw.static_names.index("unit=micu")] == 1.0
         assert raw.S[p1, raw.static_names.index("unit=sicu")] == 0.0
 
+    def test_fixed_static_names_fix_columns_and_categories(self, tmp_path):
+        static = ["p1,ccu,64,a\n", "p2,micu,71,b\n"]
+        paths = write_cohort(tmp_path, BASIC_SERIES, static, BASIC_LABELS,
+                             static_header="patient_id,unit,age,a=b")
+        names = ["age", "unit=micu", "unit=sicu", "a=b=b", "a=b=c"]
+        raw = ingest_csv(*paths, T=4, static_names=names)
+        assert raw.static_names == names
+        # p1's unit 'ccu' is not a category of the fixed names: no column is hot
+        assert raw.S.tolist() == [[64, 0, 0, 0, 0], [71, 1, 0, 1, 0]]
+        with pytest.raises(SchemaError, match="'ward=x' not in static header"):
+            ingest_csv(*paths, T=4, static_names=["age", "ward=x"])
+        with pytest.raises(SchemaError, match=r"\['a=b', 'unit'\] not in the fixed"):
+            ingest_csv(*paths, T=4, static_names=["age"])
+
     def test_unlabelled_series_rows_are_dropped(self, tmp_path):
         rows = BASIC_SERIES + ["p3,hr,1,99\n"]
         paths = write_cohort(tmp_path, rows, BASIC_STATIC, BASIC_LABELS)

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from sumlearn.data import class_weights, fit_normalization
 from sumlearn.errors import CheckpointFormatError
 from sumlearn.model import (
+    LAYOUTS,
+    MODES,
     ModelParams,
     TrainConfig,
     assemble_features,
@@ -18,7 +22,7 @@ from sumlearn.model import (
     total_loss,
     weighted_bce_from_logits,
 )
-from sumlearn.summaries import SummaryParams, sigmoid
+from sumlearn.summaries import SUMMARY_NAMES, SummaryParams, sigmoid
 
 from conftest import full_window_params, random_batch
 
@@ -57,14 +61,36 @@ class TestFeatureAssembly:
         design = assemble_features(h, s, x, m, "flat_series")
         assert design.shape == (n, p + 2 * d * t)
 
-    def test_names_align_with_columns(self):
-        names = feature_names_for(["hr", "sbp"], ["age"], 6, "relaxed")
-        assert len(names) == 2 * 12 + 1 + 4
-        assert names[0] == "hr:mean"
-        assert names[12] == "sbp:mean"
-        assert names[24] == "static:age"
-        assert names[25] == "xT:hr"
-        assert names[-1] == "mT:sbp"
+    @pytest.mark.parametrize("mode", MODES)
+    def test_names_align_with_columns(self, rng, mode):
+        variables, t = ["hr", "sbp"], 6
+        h = rng.standard_normal((4, 2, 12))
+        s = rng.standard_normal((4, 1))
+        x = rng.standard_normal((4, 2, t))
+        m = rng.standard_normal((4, 2, t))
+        names = feature_names_for(variables, ["age"], t, mode)
+        design = assemble_features(h, s, x, m, mode)
+        assert len(names) == design.shape[1]
+        kinds = [name.partition(":")[0] for name in names]
+        blocks = ["H" if kind in variables else kind for kind in kinds]
+        assert [b for b, _ in itertools.groupby(blocks)] == list(LAYOUTS[mode])
+        for name, column in zip(names, design.T):
+            kind, _, rest = name.partition(":")
+            var, _, hour = rest.partition("@")
+            if kind == "static":
+                expected = s[:, 0]
+            elif kind in variables:
+                expected = h[:, variables.index(kind), SUMMARY_NAMES.index(rest)]
+            else:
+                values = x if kind[0] == "x" else m
+                expected = values[:, variables.index(var), int(hour or t) - 1]
+            assert np.array_equal(column, expected), name
+        if mode == "relaxed":
+            assert names[0] == "hr:mean"
+            assert names[12] == "sbp:mean"
+            assert names[24] == "static:age"
+            assert names[25] == "xT:hr"
+            assert names[-1] == "mT:sbp"
 
 
 class TestLoss:

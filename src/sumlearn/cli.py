@@ -63,12 +63,16 @@ def _positive(text):
 
 
 def _int_list(text):
-    """argparse type of --seeds and --n-list: comma-separated integers >= 0."""
+    """argparse type of --seeds and --n-list: comma-separated distinct
+    integers >= 0."""
     parts = text.split(",")
     if not all(part.strip().isdecimal() for part in parts):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not a comma-separated list of non-negative integers")
-    return [int(part) for part in parts]
+    values = [int(part) for part in parts]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"{text!r} repeats a value")
+    return values
 
 
 def read_config(path):
@@ -253,7 +257,8 @@ def cmd_report(args):
     ckpt = model.load_checkpoint(args.checkpoint)
     rows = evaluate.key_feature_report(
         ckpt["summary_params"], ckpt["model_params"], ckpt["stats"],
-        ckpt["variable_names"], ckpt["T"], args.top_k,
+        ckpt["variable_names"], ckpt["static_names"], ckpt["T"],
+        ckpt["config"].mode, args.top_k,
     )
     tsv = evaluate.report_tsv(rows)
     if args.out:

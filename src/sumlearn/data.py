@@ -220,11 +220,14 @@ def _read_series_columns(path, T, fixed):
         return None
     hour, value = table["hour"], table["value"]
     if not (len(table) and np.isfinite(value).all()
-            and 1 <= hour.min() and hour.max() <= T):
+            and 1 <= hour.min() and int(hour.max()) <= T):
         return None
     series = _series(table["patient"].tolist(), table["variable"].tolist(),
                      hour, value)
     if fixed is not None and not set(series.variables) <= set(fixed):
+        return None
+    # the duplicate key below must not wrap around in int64
+    if len(series.patients) * len(series.variables) * T > np.iinfo(np.int64).max:
         return None
     key = (series.p * len(series.variables) + series.v) * T + (series.hour - 1)
     key.sort()
@@ -361,7 +364,11 @@ def ingest_csv(
                    dtype=np.intp)[series.p]
     var = np.array([var_index[v] for v in series.variables], dtype=np.intp)[series.v]
     kept = row >= 0
-    values = np.full((N, D, T), np.nan)
+    try:
+        values = np.full((N, D, T), np.nan)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise DataError(f"T = {T}: cannot allocate the ({N}, {D}, {T}) "
+                        "series array") from None
     values[row[kept], var[kept], series.hour[kept] - 1] = series.value[kept]
 
     S = np.empty((N, len(static_names)))

@@ -8,8 +8,17 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .model import forward
-from .summaries import FRAC_ABOVE, FRAC_BELOW, SUMMARY_NAMES, sigmoid
+from .model import feature_columns, forward
+from .summaries import FRAC_ABOVE, FRAC_BELOW, sigmoid
+
+# the report's phrase of each summary, indexed like SUMMARY_NAMES; the two
+# threshold phrases take the raw threshold
+SUMMARY_PHRASES = (
+    "mean over", "variance over", "ever measured over", "times measured over",
+    "measurement variance over", "measurement switches over", "first measured",
+    "last measured", "hours above {:.2f}", "hours below {:.2f}", "slope over",
+    "slope stderr over",
+)
 
 
 def auc(scores, labels):
@@ -78,66 +87,35 @@ def _window_from_C(c, T):
     return start, T
 
 
-def key_feature_report(summary_params, model_params, stats, variable_names, T,
-                       top_k):
-    """Top-k coefficients rendered with denormalized thresholds and windows."""
+def key_feature_report(summary_params, model_params, stats, variable_names,
+                       static_names, T, mode, top_k):
+    """Top-k coefficients rendered with denormalized thresholds and windows,
+    each read from its column of the mode's layout."""
+    columns = feature_columns(variable_names, static_names, T, mode)
     var_index = {v: d for d, v in enumerate(variable_names)}
-    summary_index = {s: i for i, s in enumerate(SUMMARY_NAMES)}
+    thresholds = {FRAC_ABOVE: summary_params.phi_plus,
+                  FRAC_BELOW: summary_params.phi_minus}
     order = np.argsort(-np.abs(model_params.coeffs), kind="stable")[:top_k]
     rows = []
     for rank, col in enumerate(order, start=1):
-        name = model_params.feature_names[col]
-        coeff = float(model_params.coeffs[col])
-        kind, _, rest = name.partition(":")
-        window_start = window_end = None
+        block, variable, index = columns[col]
+        window = None, None
         threshold_raw = None
-        if kind == "static":
-            variable, summary = rest, "static value"
-        elif kind == "xT":
-            variable, summary = rest, f"value at hour {T}"
-            window_start = window_end = T
-        elif kind == "mT":
-            variable, summary = rest, f"measured at hour {T}"
-            window_start = window_end = T
-        elif kind in ("x", "m"):  # flat_series columns
-            variable, _, hour = rest.partition("@")
-            what = "value" if kind == "x" else "measured"
-            summary = f"{what} at hour {hour}"
-            window_start = window_end = int(hour)
+        if block == "static":
+            summary = "static value"
+        elif block != "H":  # the value or the mask at one hour
+            what = "value" if block in ("x", "xT") else "measured"
+            summary = f"{what} at hour {index}"
+            window = index, index
         else:
-            variable, summary_name = kind, rest
             d = var_index[variable]
-            i = summary_index[summary_name]
-            window_start, window_end = _window_from_C(summary_params.C[d, i], T)
-            if i == FRAC_ABOVE:
+            window = _window_from_C(summary_params.C[d, index], T)
+            if index in thresholds:
                 threshold_raw = float(
-                    summary_params.phi_plus[d] * stats.std[d] + stats.mean[d]
-                )
-                summary = f"hours above {threshold_raw:.2f}"
-            elif i == FRAC_BELOW:
-                threshold_raw = float(
-                    summary_params.phi_minus[d] * stats.std[d] + stats.mean[d]
-                )
-                summary = f"hours below {threshold_raw:.2f}"
-            else:
-                summary = {
-                    "mean": "mean over",
-                    "variance": "variance over",
-                    "ever_measured": "ever measured over",
-                    "indicator_mean": "times measured over",
-                    "indicator_variance": "measurement variance over",
-                    "switch_count": "measurement switches over",
-                    "first_measured": "first measured",
-                    "last_measured": "last measured",
-                    "slope": "slope over",
-                    "slope_stderr": "slope stderr over",
-                }[summary_name]
-        rows.append(
-            KeyFeatureRow(
-                rank, variable, summary, window_start, window_end,
-                threshold_raw, coeff,
-            )
-        )
+                    thresholds[index][d] * stats.std[d] + stats.mean[d])
+            summary = SUMMARY_PHRASES[index].format(threshold_raw)
+        rows.append(KeyFeatureRow(rank, variable, summary, *window,
+                                  threshold_raw, float(model_params.coeffs[col])))
     return rows
 
 

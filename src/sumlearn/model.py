@@ -96,20 +96,28 @@ def _layout(mode):
     return LAYOUTS[mode]
 
 
+def feature_columns(variable_names, static_names, T, mode):
+    """One (block, name, index) per column of the assembled design matrix, in
+    order: the index is the summary index of an H column, the hour of an x
+    or m column (T for xT and mT), and None for a static column."""
+    hours = range(1, T + 1)
+    indices = {"H": range(N_SUMMARIES), "xT": (T,), "mT": (T,), "x": hours, "m": hours}
+    columns = []
+    for block in _layout(mode):
+        if block == "static":
+            columns += [(block, s, None) for s in static_names]
+        else:
+            columns += [(block, v, i) for v in variable_names for i in indices[block]]
+    return columns
+
+
 def feature_names_for(variable_names, static_names, T, mode):
     """Column names of the assembled design matrix, in order."""
-    names = []
-    for block in _layout(mode):
-        if block == "H":
-            names += [f"{v}:{s}" for v in variable_names for s in SUMMARY_NAMES]
-        elif block == "static":
-            names += [f"static:{s}" for s in static_names]
-        elif block in ("xT", "mT"):
-            names += [f"{block}:{v}" for v in variable_names]
-        else:  # one column per hour
-            names += [f"{block}:{v}@{t}" for v in variable_names
-                      for t in range(1, T + 1)]
-    return names
+    return [f"{name}:{SUMMARY_NAMES[index]}" if block == "H"
+            else f"{block}:{name}@{index}" if block in ("x", "m")
+            else f"{block}:{name}"
+            for block, name, index in feature_columns(variable_names,
+                                                      static_names, T, mode)]
 
 
 def assemble_features(H, S, X, M, mode):

@@ -59,7 +59,7 @@ class SynthSpec:
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
         planted = {self.trend_var, self.threshold_var, self.missing_var}
-        if len(planted) != 3 or max(planted) >= self.n_variables:
+        if len(planted) != 3 or not all(0 <= d < self.n_variables for d in planted):
             raise DataError("planted variables must be distinct and in range")
         for w in (self.trend_window, self.threshold_window):
             if not 1 <= w <= self.T:

@@ -339,7 +339,9 @@ class TestTypedFailures:
         (["train", "--seeds", "0,x"], "argument --seeds: '0,x' is not"),
         (["ablate", "--n-list", "1,a"], "argument --n-list: '1,a' is not"),
         (["ablate", "--n-list", "-1"], "argument --n-list: '-1' is not"),
-    ], ids=["seeds", "n_list", "negative_n"])
+        (["train", "--seeds", "0,0"], "argument --seeds: '0,0' repeats a value"),
+        (["ablate", "--n-list", "5,5"], "argument --n-list: '5,5' repeats a value"),
+    ], ids=["seeds", "n_list", "negative_n", "repeated_seed", "repeated_n"])
     def test_bad_int_list_is_1(self, cohort_dir, trained_dir, tmp_path, capsys,
                                args, needle):
         if args[0] == "ablate":
@@ -374,8 +376,11 @@ class TestTypedFailures:
         (["synth", "--n", "0"], "n_examples must be >= 1"),
         (["synth", "--config", "n_static = 0\n"], "n_static must be >= 1"),
         (["synth", "--prevalence", "inf"], "prevalence = inf is not finite"),
+        (["synth", "--config", "trend_var = -1\nn_examples = 50\n"],
+         "planted variables must be distinct and in range"),
     ], ids=["nan_lr", "nan_alpha", "inf_tau_temp", "negative_lr_summary",
-            "negative_n", "zero_n", "zero_n_static", "inf_prevalence"])
+            "negative_n", "zero_n", "zero_n_static", "inf_prevalence",
+            "negative_trend_var"])
     def test_config_value_out_of_range_is_2(self, cohort_dir, tmp_path, capsys,
                                             args, needle):
         if "--config" in args:
@@ -420,10 +425,19 @@ class TestTypedFailures:
          "std is not positive"),
         (lambda doc: doc["normalization"]["static_std"].__setitem__(0, -1.0),
          "static_std is not positive"),
+        # T too large for the (N, D, T) series array; numpy refuses each of
+        # these shapes before allocating anything
+        (lambda doc: doc.__setitem__("T", 10**15),
+         f"cannot allocate the (300, 4, {10**15}) series array"),
+        (lambda doc: doc.__setitem__("T", 10**18),
+         f"cannot allocate the (300, 4, {10**18}) series array"),
+        (lambda doc: doc.__setitem__("T", 10**20),
+         f"cannot allocate the (300, 4, {10**20}) series array"),
     ], ids=["short_C", "ragged_C", "short_phi_plus", "long_phi_minus",
             "unknown_config_key", "missing_config_key", "unknown_variable_feature",
             "unknown_summary_feature", "non_integer_hour_feature", "nan_coeff",
-            "nan_C", "inf_mean", "zero_std", "negative_static_std"])
+            "nan_C", "inf_mean", "zero_std", "negative_static_std", "T_1e15",
+            "T_1e18", "T_1e20"])
     def test_malformed_checkpoint_is_2(self, cohort_dir, trained_dir, tmp_path,
                                        capsys, edit, needle):
         doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
@@ -432,6 +446,15 @@ class TestTypedFailures:
         path.write_text(json.dumps(doc))
         code = main(["eval", "--checkpoint", str(path), "--cohort-dir", str(cohort_dir)])
         assert_fails(capsys, code, 2, needle)
+
+    def test_train_t_too_large_for_the_series_array_is_2(self, cohort_dir,
+                                                          tmp_path, capsys):
+        # numpy refuses this (300, 4, T) shape before allocating anything
+        code = main(["train", "--cohort-dir", str(cohort_dir),
+                     "--out", str(tmp_path / "run"), "--t", str(10**15)])
+        assert_fails(capsys, code, 2,
+                     f"cannot allocate the (300, 4, {10**15}) series array")
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edit, needle", [
         (lambda doc: 5, "not a JSON object"),

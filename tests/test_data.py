@@ -25,6 +25,7 @@ from sumlearn.data import (
 )
 from sumlearn.errors import (
     ConflictError,
+    DataError,
     ParseError,
     RangeError,
     SchemaError,
@@ -272,6 +273,19 @@ def test_columnar_reader_agrees_with_row_reader(tmp_path, series, patients,
     assert (read is not None) == columnar
     assert (ingest_outcome(paths, EDGE_T, variables)
             == ingest_outcome(paths, EDGE_T, variables, columnar=False))
+
+
+@pytest.mark.parametrize("T, columnar", [
+    (10**18, True), (3 * 10**18, False), (10**20, False)])
+def test_t_too_large_for_the_series_array_is_a_data_error(tmp_path, T, columnar):
+    # numpy refuses each (2, 2, T) shape before allocating anything; the
+    # columnar reader declines where the 2 x 2 x T duplicate keys would not
+    # fit in int64
+    paths = write_files(tmp_path, cohort_files(BASIC, *P12))
+    read = sumlearn.data._read_series_columns(paths[0], T, None)
+    assert (read is not None) == columnar
+    assert (ingest_outcome(paths, T) == ingest_outcome(paths, T, columnar=False)
+            == (DataError, f"T = {T}: cannot allocate the (2, 2, {T}) series array"))
 
 
 FUZZ_T = 6

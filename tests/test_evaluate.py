@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumlearn.cli import main
 from sumlearn.data import fit_normalization
 from sumlearn.errors import NumericalError
 from sumlearn.evaluate import (
+    SUMMARY_PHRASES,
     _window_from_C,
     ablate_top_n,
     ablation_curve,
@@ -14,7 +16,14 @@ from sumlearn.evaluate import (
     key_feature_report,
     report_tsv,
 )
-from sumlearn.model import ModelParams, feature_names_for, predict
+from sumlearn.model import (
+    MODES,
+    ModelParams,
+    feature_columns,
+    feature_names_for,
+    predict,
+)
+from sumlearn.summaries import FRAC_ABOVE, FRAC_BELOW, N_SUMMARIES, SummaryParams
 
 from conftest import full_window_params, random_batch
 
@@ -136,7 +145,8 @@ class TestReport:
         coeffs[names.index("var1:frac_above")] = 3.0
         mp = ModelParams(coeffs, 0.0, names)
         rows = key_feature_report(
-            sp, mp, stats, batch.variable_names, batch.T, top_k=1
+            sp, mp, stats, batch.variable_names, batch.static_names, batch.T,
+            "relaxed", top_k=1
         )
         raw = 2.0 * stats.std[1] + stats.mean[1]
         assert rows[0].variable == "var1"
@@ -152,7 +162,8 @@ class TestReport:
         )
         mp = ModelParams(rng.standard_normal(len(names)), 0.0, names)
         rows = key_feature_report(
-            sp, mp, stats, batch.variable_names, batch.T, top_k=10
+            sp, mp, stats, batch.variable_names, batch.static_names, batch.T,
+            "relaxed", top_k=10
         )
         mags = [abs(r.coefficient) for r in rows]
         assert mags == sorted(mags, reverse=True)
@@ -166,10 +177,80 @@ class TestReport:
         )
         mp = ModelParams(rng.standard_normal(len(names)), 0.0, names)
         rows = key_feature_report(
-            sp, mp, stats, batch.variable_names, batch.T, top_k=5
+            sp, mp, stats, batch.variable_names, batch.static_names, batch.T,
+            "relaxed", top_k=5
         )
         text = report_tsv(rows)
         lines = text.strip().split("\n")
         assert lines[0].split("\t")[0] == "rank"
         assert len(lines) == 6
         assert ablation_tsv([(1, 0.5), (5, 0.75)]).startswith("n\ttest_auc\n")
+
+    def test_one_phrase_per_summary(self):
+        assert len(SUMMARY_PHRASES) == N_SUMMARIES
+        assert [i for i, p in enumerate(SUMMARY_PHRASES) if "{" in p] == [
+            FRAC_ABOVE, FRAC_BELOW]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_column_reads_as_its_kind(self, rng, mode):
+        batch = random_batch(rng, n=20)
+        stats = fit_normalization(batch)
+        T = batch.T
+        sp = SummaryParams(rng.uniform(0.5, T + 0.5, size=(3, N_SUMMARIES)),
+                           rng.standard_normal(3), rng.standard_normal(3), 0.1)
+        columns = feature_columns(batch.variable_names, batch.static_names, T,
+                                  mode)
+        F = len(columns)
+        # |coefficient| falls with the column, so rank r is column r - 1
+        mp = ModelParams(
+            np.arange(F, 0, -1.0) * (-1.0) ** np.arange(F), 0.0,
+            feature_names_for(batch.variable_names, batch.static_names, T, mode))
+        rows = key_feature_report(sp, mp, stats, batch.variable_names,
+                                  batch.static_names, T, mode, top_k=F)
+        assert [row.rank for row in rows] == list(range(1, F + 1))
+        raw = {FRAC_ABOVE: ("above", sp.phi_plus * stats.std + stats.mean),
+               FRAC_BELOW: ("below", sp.phi_minus * stats.std + stats.mean)}
+        for row, (block, name, index), coeff in zip(rows, columns, mp.coeffs):
+            assert (row.variable, row.coefficient) == (name, coeff)
+            if block == "static":
+                expected = "static value", None, None, None
+            elif block in ("x", "m", "xT", "mT"):
+                assert index == T or block in ("x", "m")
+                what = "value" if block.startswith("x") else "measured"
+                expected = f"{what} at hour {index}", index, index, None
+            else:
+                d = batch.variable_names.index(name)
+                start = _window_from_C(sp.C[d, index], T)[0]
+                if index in raw:
+                    word, threshold = raw[index][0], float(raw[index][1][d])
+                    expected = f"hours {word} {threshold:.2f}", start, T, threshold
+                else:
+                    expected = SUMMARY_PHRASES[index], start, T, None
+            assert (row.summary, row.window_start, row.window_end,
+                    row.threshold_raw) == expected
+
+    @pytest.mark.parametrize("mode", ["relaxed", "flat_series"])
+    def test_report_names_variables_as_in_the_csv(self, tmp_path, capsys, mode):
+        # ':' and '@' are the separators of feature names, and 'static' and
+        # 'xT' are block names: none of them may change how a column reads
+        cohort, out = tmp_path / "cohort", tmp_path / "report.tsv"
+        assert main(["synth", "--out", str(cohort), "--n", "200", "--d", "4",
+                     "--t", "12", "--seed", "0"]) == 0
+        renamed = {"var0": "v:1", "var1": "v@2", "var2": "static", "var3": "xT"}
+        series = cohort / "timeseries.csv"
+        header, *lines = series.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        series.write_text("\n".join(
+            [header] + [",".join([p, renamed[v], h, x]) for p, v, h, x in rows]))
+        assert main(["train", "--cohort-dir", str(cohort), "--out",
+                     str(tmp_path / "run"), "--t", "12", "--mode", mode,
+                     "--epochs", "2", "--eval-interval", "1"]) == 0
+        code = main(["report", "--checkpoint",
+                     str(tmp_path / "run" / "seed_0" / "model.ckpt"),
+                     "--top-k", "1000", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        report = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        statics = (cohort / "static.csv").read_text().splitlines()[0].split(",")[1:]
+        assert {r[1] for r in report} == set(renamed.values()) | set(statics)
+        for r in report:
+            assert (r[2] == "static value") == (r[1] in statics), r

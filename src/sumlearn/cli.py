@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text):
-    """argparse type of --top-k: an integer >= 0."""
+    """argparse type of --top-k and gradcheck --seed: an integer >= 0."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
@@ -120,32 +120,11 @@ def _config(cls, args):
     return cls(**values)
 
 
-def _load_cohort(args, T, **fixed):
-    """The cohort of --cohort-dir or of the three file flags; ``fixed`` are
-    ingest_csv's keyword arguments."""
-    if args.cohort_dir:
-        base = Path(args.cohort_dir)
-        paths = base / "timeseries.csv", base / "static.csv", base / "labels.csv"
-    elif args.timeseries and args.static and args.labels:
-        paths = args.timeseries, args.static, args.labels
-    else:
-        raise UsageError("provide --cohort-dir or all of --timeseries/--static/--labels")
-    return data.ingest_csv(*paths, T, **fixed)
-
-
-def _add_cohort_args(p):
-    p.add_argument("--cohort-dir", help="directory with timeseries/static/labels.csv")
-    p.add_argument("--timeseries")
-    p.add_argument("--static")
-    p.add_argument("--labels")
-
-
 def cmd_synth(args):
     spec = _config(synth.SynthSpec, args)
     batch, descriptor = synth.generate(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    synth.write_cohort(batch, out)
+    synth.write_cohort(batch, out)  # makes the directory
     synth.write_truth(descriptor, out)
     print(f"realized prevalence: {descriptor['prevalence_realized']:.4f}")
     print(f"cohort written to {out}")
@@ -155,13 +134,13 @@ def cmd_synth(args):
 def _fit_one_seed(raw, config, test_fraction, seed, out_dir):
     """Split, normalize, train and persist one seed's artifacts."""
     train_raw, test_raw = data.split_by_patient(raw, test_fraction, seed)
-    median = data.compute_population_median(train_raw)
-    batch_train_all = data.build_batch(train_raw, median)
+    batch_train_all = data.build_batch(train_raw)
     stats = data.fit_normalization(batch_train_all)
     for text in stats.warnings:
         print(f"warning: seed {seed}: {text}", file=sys.stderr)
     batch_train_all = data.apply_normalization(batch_train_all, stats)
-    batch_test = data.apply_normalization(data.build_batch(test_raw, median), stats)
+    batch_test = data.apply_normalization(
+        data.build_batch(test_raw, stats.population_median), stats)
     fit_batch, val_batch = data.split_by_patient(
         batch_train_all, config.val_fraction, seed + 1
     )
@@ -192,7 +171,8 @@ def cmd_train(args):
     config = _config(model.TrainConfig, args)
     seeds = args.seeds
     categorical = args.categorical.split(",") if args.categorical else ()
-    raw = _load_cohort(args, args.t, categorical_columns=categorical)
+    raw = data.ingest_csv(*data.cohort_paths(args.cohort_dir), args.t,
+                          categorical_columns=categorical)
     out = Path(args.out)
     all_metrics = []
     for seed in seeds:
@@ -222,8 +202,9 @@ def cmd_train(args):
 
 def _load_eval_inputs(args):
     ckpt = model.load_checkpoint(args.checkpoint)
-    raw = _load_cohort(args, ckpt["T"], variables=ckpt["variable_names"],
-                       static_names=ckpt["static_names"])
+    raw = data.ingest_csv(*data.cohort_paths(args.cohort_dir), ckpt["T"],
+                          variables=ckpt["variable_names"],
+                          static_names=ckpt["static_names"])
     batch = data.build_batch(raw, ckpt["stats"].population_median)
     batch = data.apply_normalization(batch, ckpt["stats"])
     return ckpt, batch
@@ -308,6 +289,9 @@ def cmd_gradcheck(args):
 def build_parser():
     parser = _Parser(prog="sumlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    cohort = _Parser(add_help=False)  # the input of train, eval and ablate
+    cohort.add_argument("--cohort-dir", required=True,
+                        help=f"directory with {', '.join(data.COHORT_FILES)}")
 
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--out", required=True)
@@ -319,8 +303,7 @@ def build_parser():
     p.add_argument("--prevalence", type=float)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train across one or more seeds")
-    _add_cohort_args(p)
+    p = sub.add_parser("train", parents=[cohort], help="train across one or more seeds")
     p.add_argument("--categorical", help="comma-separated categorical static columns")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
@@ -341,15 +324,14 @@ def build_parser():
     p.add_argument("--tau-temp", dest="tau_temp", type=float)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="AUC of a checkpoint on a cohort")
+    p = sub.add_parser("eval", parents=[cohort], help="AUC of a checkpoint on a cohort")
     p.add_argument("--checkpoint", required=True)
-    _add_cohort_args(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="top-N coefficient ablation curve")
+    p = sub.add_parser("ablate", parents=[cohort],
+                       help="top-N coefficient ablation curve")
     p.add_argument("--checkpoint", required=True)
-    _add_cohort_args(p)
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
@@ -361,7 +343,7 @@ def build_parser():
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--epsilon", type=_positive, default=1e-5)
     p.add_argument("--tolerance", type=_positive, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)

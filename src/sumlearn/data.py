@@ -13,13 +13,19 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConflictError, DataError, ParseError, RangeError, SchemaError
+from .errors import (ConflictError, DataError, ParseError, RangeError,
+                     SchemaError, check_distinct)
 
 STD_FLOOR = 1e-6
-_SERIES_HEADER = ["patient_id", "variable", "hour", "value"]
+# The cohort format: its files in ingest_csv's argument order, and their headers.
+COHORT_FILES = ("timeseries.csv", "static.csv", "labels.csv")
+SERIES_HEADER = ["patient_id", "variable", "hour", "value"]
+STATIC_HEADER = ["patient_id"]
+LABELS_HEADER = ["patient_id", "label"]
 _SERIES_DTYPE = np.dtype([("patient", object), ("variable", object),
                           ("hour", np.int64), ("value", np.float64)])
 # Separators that numpy's number parser skips as whitespace and Python's
@@ -46,10 +52,6 @@ class RawCohort:
     patient_ids: list
     variable_names: list
     static_names: list
-
-    @property
-    def n_examples(self):
-        return self.values.shape[0]
 
     @property
     def T(self):
@@ -93,6 +95,20 @@ class ClinicalBatch:
         return self.S.shape[1]
 
     take = _take
+
+
+def cohort_paths(directory):
+    """The cohort's three files in ``directory``, in ingest_csv's order."""
+    return [Path(directory) / name for name in COHORT_FILES]
+
+
+def series_array(N, D, T):
+    """An (N, D, T) array of NaN, or a DataError naming a shape too large."""
+    try:
+        return np.full((N, D, T), np.nan)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
+        raise DataError(f"T = {T}: cannot allocate the ({N}, {D}, {T}) "
+                        "series array") from None
 
 
 @dataclass
@@ -205,7 +221,7 @@ def _read_series_columns(path, T, fixed):
         cells = header.decode("utf-8").split(",")
     except UnicodeDecodeError:
         return None
-    if [c.strip() for c in cells][:len(_SERIES_HEADER)] != _SERIES_HEADER:
+    if [c.strip() for c in cells][:len(SERIES_HEADER)] != SERIES_HEADER:
         return None
     try:
         with warnings.catch_warnings():
@@ -241,7 +257,7 @@ def _read_series_rows(path, T, fixed):
     the first bad row raises the error that names it."""
     line_of = {}  # (pid, var, hour) -> line
     values = []
-    rows = _read_rows(path, _SERIES_HEADER)
+    rows = _read_rows(path, SERIES_HEADER)
     next(rows)  # the header
     for line_no, row in rows:
         pid, var = row[0].strip(), row[1].strip()
@@ -292,11 +308,15 @@ def ingest_csv(
     columns, their order and the one-hot categories (e.g. from a checkpoint;
     ``categorical_columns`` is then not read): each name is a column of the
     static header or ``<col>=<value>``, and a header column no name uses
+    raises SchemaError.  A name repeated in ``variables`` or ``static_names``
     raises SchemaError.
     """
+    check_distinct("variables", variables or (), SchemaError)
+    check_distinct("static_names", static_names or (), SchemaError)
+
     # labels
     label_of = {}
-    rows = _read_rows(labels_path, ["patient_id", "label"])
+    rows = _read_rows(labels_path, LABELS_HEADER)
     next(rows)  # the header
     for line_no, row in rows:
         pid = row[0].strip()
@@ -317,7 +337,7 @@ def ingest_csv(
     variable_names = fixed if fixed is not None else series.variables
 
     # static
-    rows = _read_rows(static_path, ["patient_id"])
+    rows = _read_rows(static_path, STATIC_HEADER)
     header = next(rows)
     raw_cols = header[1:]
     static_rows = {}
@@ -364,11 +384,7 @@ def ingest_csv(
                    dtype=np.intp)[series.p]
     var = np.array([var_index[v] for v in series.variables], dtype=np.intp)[series.v]
     kept = row >= 0
-    try:
-        values = np.full((N, D, T), np.nan)
-    except (MemoryError, ValueError):  # ValueError: beyond numpy's size limit
-        raise DataError(f"T = {T}: cannot allocate the ({N}, {D}, {T}) "
-                        "series array") from None
+    values = series_array(N, D, T)
     values[row[kept], var[kept], series.hour[kept] - 1] = series.value[kept]
 
     S = np.empty((N, len(static_names)))
@@ -397,8 +413,7 @@ def _static_encoders(static_names, raw_cols):
     """(source column index, category or None) of each static name: a column
     of the header as it is, or ``<col>=<category>`` of a one-hot column (the
     longest such column)."""
-    if len(set(raw_cols)) < len(raw_cols):
-        raise SchemaError(f"static header repeats a column: {raw_cols}")
+    check_distinct("static header", raw_cols, SchemaError)
     encoders = []
     for name in static_names:
         if name in raw_cols:
@@ -426,32 +441,24 @@ def compute_population_median(raw):
     return med
 
 
-def impute(raw, population_median):
-    """Carry-forward imputation: (X_raw, M) from a RawCohort.
-
-    Unmeasured (n, d, t) takes the most recent prior measurement of
-    (n, d), or the population median when nothing has been measured yet.
+def build_batch(raw, population_median=None):
+    """Impute a RawCohort into a ClinicalBatch (raw units) by carrying
+    forward: an unmeasured (n, d, t) takes the most recent prior measurement
+    of (n, d), or the population median when nothing has been measured yet
+    (by default the median of ``raw``'s own measured values).
     """
+    if population_median is None:
+        population_median = compute_population_median(raw)
     population_median = np.asarray(population_median, dtype=float)
     if population_median.shape != (raw.values.shape[1],):
         raise DataError("population_median must have one entry per variable")
     M = (~np.isnan(raw.values)).astype(float)
     X = np.empty_like(raw.values)
-    carry = np.broadcast_to(
-        population_median[None, :], raw.values.shape[:2]
-    ).copy()
+    carry = np.broadcast_to(population_median, raw.values.shape[:2])
     for t in range(raw.values.shape[2]):
         measured = M[:, :, t] == 1
         carry = np.where(measured, raw.values[:, :, t], carry)
         X[:, :, t] = carry
-    return X, M
-
-
-def build_batch(raw, population_median=None):
-    """Impute a RawCohort into a ClinicalBatch (raw units)."""
-    if population_median is None:
-        population_median = compute_population_median(raw)
-    X, M = impute(raw, population_median)
     return ClinicalBatch(
         X, M, raw.S.copy(), raw.y.copy(), list(raw.patient_ids),
         raw.variable_names, raw.static_names,
@@ -507,16 +514,11 @@ def split_by_patient(cohort, test_fraction, seed):
     if n_test == 0 or n_test == N:
         raise DataError(f"cohort of {N} too small for test_fraction {test_fraction}")
     rng = np.random.default_rng(seed)
-    test_idx = []
-    pos = np.flatnonzero(y == 1)
-    neg = np.flatnonzero(y == 0)
-    n_test_pos = int(round(len(pos) * test_fraction))
-    n_test_pos = min(max(n_test_pos, 0), n_test)
-    n_test_neg = n_test - n_test_pos
-    test_idx.extend(rng.permutation(pos)[:n_test_pos])
-    test_idx.extend(rng.permutation(neg)[:n_test_neg])
+    pos, neg = np.flatnonzero(y == 1), np.flatnonzero(y == 0)
+    n_test_pos = min(int(round(len(pos) * test_fraction)), n_test)
     test_mask = np.zeros(N, dtype=bool)
-    test_mask[np.asarray(test_idx, dtype=int)] = True
+    test_mask[rng.permutation(pos)[:n_test_pos]] = True
+    test_mask[rng.permutation(neg)[:n_test - n_test_pos]] = True
     train = cohort.take(np.flatnonzero(~test_mask))
     test = cohort.take(np.flatnonzero(test_mask))
     return train, test

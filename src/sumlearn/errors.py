@@ -53,3 +53,12 @@ def check_finite_fields(obj):
         value = getattr(obj, f.name)
         if f.type == "float" and value is not None and not math.isfinite(value):
             raise DataError(f"{f.name} = {value!r} is not finite")
+
+
+def check_distinct(what, names, error):
+    """``error`` naming the first name that ``names`` repeats."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{what} repeats the name {name!r}")
+        seen.add(name)

@@ -11,7 +11,8 @@ import numpy as np
 
 from . import summaries
 from .data import NormalizationStats, class_weights
-from .errors import CheckpointFormatError, DataError, check_finite_fields
+from .errors import (CheckpointFormatError, DataError, check_distinct,
+                     check_finite_fields)
 from .summaries import N_SUMMARIES, SUMMARY_NAMES, compute_summary_tensor, sigmoid
 
 EPS_HS = 1e-8
@@ -80,9 +81,10 @@ class TrainConfig:
         for name in ("alpha", "lr_summary"):  # lr_summary may be None
             if (getattr(self, name) or 0) < 0:
                 raise DataError(f"{name} must be non-negative")
-        for name in ("batch_size", "max_epochs", "eval_interval"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("eval_interval", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}")
 
     @property
     def summary_learning_rate(self):
@@ -296,6 +298,8 @@ def load_checkpoint(path):
                         ("static_names", norm["static_names"])):
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise CheckpointFormatError(f"{path}: {name} is not a list of names")
+    for name in ("variable_names", "static_names"):
+        check_distinct(f"{path}: {name}", norm[name], CheckpointFormatError)
     config_keys = {f.name for f in fields(TrainConfig)}
     if set(doc["config"]) != config_keys:
         raise CheckpointFormatError(

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import RawCohort, build_batch
+from .data import (LABELS_HEADER, SERIES_HEADER, STATIC_HEADER, RawCohort,
+                   build_batch, cohort_paths, series_array)
 from .errors import DataError, check_finite_fields
 from .summaries import sigmoid
 
@@ -55,9 +56,9 @@ class SynthSpec:
 
     def __post_init__(self):
         check_finite_fields(self)
-        for name in ("n_examples", "n_static"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
+        for name, low in (("n_examples", 1), ("n_static", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}")
         planted = {self.trend_var, self.threshold_var, self.missing_var}
         if len(planted) != 3 or not all(0 <= d < self.n_variables for d in planted):
             raise DataError("planted variables must be distinct and in range")
@@ -94,12 +95,12 @@ def generate(spec):
     """(ClinicalBatch in raw units, ground-truth descriptor dict)."""
     rng = np.random.default_rng(spec.seed)
     N, D, T = spec.n_examples, spec.n_variables, spec.T
+    vals = series_array(N, D, T)  # first: a T too large fails here
     z = rng.standard_normal(N)
     t_ax = np.arange(1, T + 1)
 
     # AR(1) background noise for every variable
     noise = rng.standard_normal((N, D, T)) * spec.noise_scale
-    vals = np.empty((N, D, T))
     vals[:, :, 0] = noise[:, :, 0]
     for t in range(1, T):
         vals[:, :, t] = AR_COEFF * vals[:, :, t - 1] + noise[:, :, t]
@@ -152,9 +153,9 @@ def generate(spec):
     S[:, 0] = 65.0 + 15.0 * S[:, 0]
     static_names = ["age"] + [f"static{j}" for j in range(1, spec.n_static)]
 
-    raw_values = np.where(M, vals, np.nan)
+    vals[~M] = np.nan
     raw = RawCohort(
-        raw_values, S, y,
+        vals, S, y,
         [f"p{n:05d}" for n in range(N)],
         [variable_name(d) for d in range(D)],
         static_names,
@@ -186,11 +187,11 @@ def generate(spec):
 
 def write_cohort(batch, out_dir):
     """Write the three-CSV cohort format; measured entries only."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "timeseries.csv", "w", newline="") as fh:
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    series_path, static_path, labels_path = cohort_paths(out_dir)
+    with open(series_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["patient_id", "variable", "hour", "value"])
+        writer.writerow(SERIES_HEADER)
         n, d, t = np.nonzero(batch.M == 1)  # in (patient, variable, hour) order
         writer.writerows(zip(
             [batch.patient_ids[i] for i in n.tolist()],
@@ -198,14 +199,14 @@ def write_cohort(batch, out_dir):
             (t + 1).tolist(),
             map(repr, batch.X[n, d, t].tolist()),
         ))
-    with open(out / "static.csv", "w", newline="") as fh:
+    with open(static_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["patient_id"] + batch.static_names)
+        writer.writerow(STATIC_HEADER + batch.static_names)
         for n, pid in enumerate(batch.patient_ids):
             writer.writerow([pid] + [repr(float(v)) for v in batch.S[n]])
-    with open(out / "labels.csv", "w", newline="") as fh:
+    with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["patient_id", "label"])
+        writer.writerow(LABELS_HEADER)
         for n, pid in enumerate(batch.patient_ids):
             writer.writerow([pid, int(batch.y[n])])
 

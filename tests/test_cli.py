@@ -274,7 +274,7 @@ def assert_fails(capsys, code, expected_code, needle):
 class TestConfigSchema:
     def test_every_flag_stores_into_a_field_or_a_command_argument(self):
         common = {"help", "out", "config"}
-        cohort = {"cohort_dir", "timeseries", "static", "labels", "categorical"}
+        cohort = {"cohort_dir", "categorical"}
         commands = {
             "synth": (SynthSpec, common),
             "train": (TrainConfig, common | cohort | {"seeds", "t", "test_fraction"}),
@@ -313,6 +313,14 @@ class TestConfigSchema:
         assert (ckpt["D"], ckpt["T"]) == (3, 8)
         assert ckpt["config"]["max_epochs"] == 3
         assert ckpt["config"]["batch_size"] == 32
+
+
+def _rename(doc, key, old, new):
+    """Rename ``old`` to ``new`` in a checkpoint's ``key`` names and in the
+    feature names built from them."""
+    norm = doc["normalization"]
+    norm[key] = [new if name == old else name for name in norm[key]]
+    doc["feature_names"] = [name.replace(old, new) for name in doc["feature_names"]]
 
 
 class TestTypedFailures:
@@ -378,9 +386,19 @@ class TestTypedFailures:
         (["synth", "--prevalence", "inf"], "prevalence = inf is not finite"),
         (["synth", "--config", "trend_var = -1\nn_examples = 50\n"],
          "planted variables must be distinct and in range"),
+        (["synth", "--seed", "-1"], "seed must be >= 0"),
+        (["synth", "--config", "seed = -1\n"], "seed must be >= 0"),
+        (["train", "--config", "seed = -1\n"], "seed must be >= 0"),
+        # numpy refuses each (4000, 6, T) shape before allocating anything
+        (["synth", "--t", str(10**20)],
+         f"T = {10**20}: cannot allocate the (4000, 6, {10**20}) series array"),
+        (["synth", "--t", str(3 * 10**18)],
+         f"T = {3 * 10**18}: cannot allocate the (4000, 6, {3 * 10**18}) "
+         "series array"),
     ], ids=["nan_lr", "nan_alpha", "inf_tau_temp", "negative_lr_summary",
             "negative_n", "zero_n", "zero_n_static", "inf_prevalence",
-            "negative_trend_var"])
+            "negative_trend_var", "negative_seed", "negative_seed_in_config",
+            "negative_train_seed_in_config", "synth_T_1e20", "synth_T_3e18"])
     def test_config_value_out_of_range_is_2(self, cohort_dir, tmp_path, capsys,
                                             args, needle):
         if "--config" in args:
@@ -401,6 +419,11 @@ class TestTypedFailures:
         code = main(["gradcheck", flag, value])
         assert_fails(capsys, code, 1,
                      f"argument {flag}: {value!r} is not a positive finite number")
+
+    def test_negative_gradcheck_seed_is_1(self, capsys):
+        code = main(["gradcheck", "--seed", "-1"])
+        assert_fails(capsys, code, 1,
+                     "argument --seed: '-1' is not a non-negative integer")
 
     def test_missing_checkpoint_is_2(self, cohort_dir, tmp_path, capsys):
         missing = tmp_path / "absent.ckpt"
@@ -433,11 +456,17 @@ class TestTypedFailures:
          f"cannot allocate the (300, 4, {10**18}) series array"),
         (lambda doc: doc.__setitem__("T", 10**20),
          f"cannot allocate the (300, 4, {10**20}) series array"),
+        # a repeated name, with the feature names renamed to match, so the
+        # layout check alone cannot catch it
+        (lambda doc: _rename(doc, "variable_names", "var1", "var0"),
+         "variable_names repeats the name 'var0'"),
+        (lambda doc: _rename(doc, "static_names", "static1", "static2"),
+         "static_names repeats the name 'static2'"),
     ], ids=["short_C", "ragged_C", "short_phi_plus", "long_phi_minus",
             "unknown_config_key", "missing_config_key", "unknown_variable_feature",
             "unknown_summary_feature", "non_integer_hour_feature", "nan_coeff",
             "nan_C", "inf_mean", "zero_std", "negative_static_std", "T_1e15",
-            "T_1e18", "T_1e20"])
+            "T_1e18", "T_1e20", "repeated_variable", "repeated_static"])
     def test_malformed_checkpoint_is_2(self, cohort_dir, trained_dir, tmp_path,
                                        capsys, edit, needle):
         doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())

@@ -19,7 +19,6 @@ from sumlearn.data import (
     class_weights,
     compute_population_median,
     fit_normalization,
-    impute,
     ingest_csv,
     split_by_patient,
 )
@@ -162,6 +161,46 @@ class TestIngest:
         paths = write_cohort(tmp_path, rows, BASIC_STATIC, BASIC_LABELS)
         raw = ingest_csv(*paths, T=4)
         assert "p3" not in raw.patient_ids
+
+
+@pytest.mark.parametrize("name, text, kwargs, error, message, line", [
+    ("labels.csv", "patient_id,outcome\np1,1\np2,0\n", {}, SchemaError,
+     "<dir>/labels.csv: expected header ['patient_id', 'label'], "
+     "got ['patient_id', 'outcome']", None),
+    ("labels.csv", "patient_id,label\np1,yes\np2,0\n", {}, ParseError,
+     "line 2: bad label 'yes'", 2),
+    ("labels.csv", "patient_id,label\np1,1\np2,2\n", {}, ParseError,
+     "line 3: label must be 0 or 1, got 2", 3),
+    ("labels.csv", "patient_id,label\np1,1\np2,0\np1,0\n", {}, ConflictError,
+     "duplicate label row for patient p1", None),
+    ("static.csv", "patient_id,age\np1,64\np2,71\np2,72\n", {}, ConflictError,
+     "duplicate static row for patient p2", None),
+    ("static.csv", "patient_id,age\np1,64\np2,71,3\n", {}, ParseError,
+     "line 3: expected 2 fields, got 3", 3),
+    ("static.csv", "patient_id,age\np1,64\n", {}, SchemaError,
+     "patients missing static rows: ['p2']", None),
+    ("static.csv", "patient_id,age\np1,64\np2,71\n",
+     {"categorical_columns": ("unit",)}, SchemaError,
+     "categorical columns not in static header: {'unit'}", None),
+    ("static.csv", "patient_id,age,age\np1,64,1\np2,71,2\n", {}, SchemaError,
+     "static header repeats the name 'age'", None),
+    ("timeseries.csv", None, {"variables": ["hr", "sbp", "hr"]}, SchemaError,
+     "variables repeats the name 'hr'", None),
+    ("static.csv", None, {"static_names": ["age", "age"]}, SchemaError,
+     "static_names repeats the name 'age'", None),
+], ids=["wrong_header", "label_not_int", "label_not_binary", "duplicate_label",
+        "duplicate_static", "static_row_length", "missing_static",
+        "unknown_categorical", "repeated_static_column", "repeated_variable",
+        "repeated_static_name"])
+def test_cohort_errors_name_their_cause(tmp_path, name, text, kwargs, error,
+                                        message, line):
+    paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)
+    if text is not None:
+        (tmp_path / name).write_text(text)
+    with pytest.raises(error) as err:
+        ingest_csv(*paths, T=4, **kwargs)
+    assert str(err.value) == message.replace("<dir>", str(tmp_path))
+    assert getattr(err.value, "line", None) == line
 
 
 # ------------------------------------------- columnar reader vs row reader
@@ -401,7 +440,8 @@ class TestImpute:
         paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)
         raw = ingest_csv(*paths, T=4)
         median = compute_population_median(raw)
-        filled, mask = impute(raw, median)
+        batch = build_batch(raw, median)
+        filled, mask = batch.X, batch.M
         hr = raw.variable_names.index("hr")
         p1 = raw.patient_ids.index("p1")
         # hour 2 inherits the hour-1 value; hour 4 inherits hour 3
@@ -413,7 +453,7 @@ class TestImpute:
         paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)
         raw = ingest_csv(*paths, T=4)
         median = compute_population_median(raw)
-        filled, _ = impute(raw, median)
+        filled = build_batch(raw, median).X
         sbp = raw.variable_names.index("sbp")
         p1 = raw.patient_ids.index("p1")
         assert filled[p1, sbp, 0] == median[sbp]

@@ -369,6 +369,9 @@ def main(argv=None):
     except (DataError, CheckpointFormatError) as exc:
         _print_failure("data error", exc)
         return 2
+    except MemoryError as exc:  # an array sized by the input that cannot be had
+        _print_failure("data error", f"out of memory: {exc}")
+        return 2
     except NumericalError as exc:
         _print_failure("numerical failure", exc)
         return 3

@@ -5,9 +5,12 @@ time of prediction ``T``.  Soft windows are sigmoid weights
 ``w_t = sigmoid((t - T + C) / tau)`` so the window length is learnable;
 hard windows use the exact indicator ``1(t > T - C)``.
 
-One kernel, ``summary_blocks``, gives all twelve summaries, in row blocks of
-at most ``BLOCK_BYTES`` per ``(rows, D, T)`` float64 slab so that a block
-stays in cache and its buffers are reused rather than faulted in again:
+One kernel, ``summary_blocks``, gives all twelve summaries.  Its slab passes
+run in row blocks of at most ``BLOCK_BYTES`` per ``(rows, D, T)`` float64
+slab, so that a block stays in cache and its buffers are reused.  The blocks
+write per-row sums into arrays that cover a group of blocks, and the closed
+forms that turn the sums into H and the tangents (some 150 numpy calls, whose
+cost is per call, not per byte) run once per group.  Passes and closed forms:
 
 * First pass: each windowed summary is a closed form of window-weighted
   time sums ``sum_t w[d, i, t] f(n, d, t)`` of shared features ``f``
@@ -34,14 +37,11 @@ counting hours back from ``T`` instead moves ``slope_stderr`` of
 near-empty windows (``C < 1``) by up to 8e7 of its 1e8.
 
 Time is the trailing axis, hour ``t`` at index ``t - 1``; ``M`` is binary.
-The ``s_*`` views of the kernel give one summary of any broadcastable
-``(..., T)`` series, mask and weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -81,6 +81,11 @@ N_SUMMARIES = len(SUMMARY_NAMES)
 
 # Upper bound on one (rows, D, T) float64 slab of a row block.
 BLOCK_BYTES = 64 * 1024
+
+# Row blocks per group: the closed forms run once per group, on the per-row
+# sums its blocks kept.  One group per call, keeping every row's sums, raised
+# the peak RSS of a 4000x30x48 hard-mode fit by a fifth.
+GROUP_BLOCKS = 16
 
 # First-pass features, stacked on the leading axis of a block's slab; the
 # last two enter only the threshold gradients.
@@ -166,7 +171,7 @@ def _time_axis(T):
 
 
 def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False):
-    """``(H, dH_dC, dH_dphi)`` of the batch, filled in row blocks.
+    """``(H, dH_dC, dH_dphi)`` of the batch, filled in groups of row blocks.
 
     X, M are (N, D, T); w is (D, I, T), the window of every (variable,
     summary) cell.  H is (N, D, I).  With ``tangent`` (relaxed mode only)
@@ -177,6 +182,9 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
     N, D, T = X.shape
     gate = _step if hard else sigmoid
     t = _time_axis(T)
+    # the (T, T) buffers first, so that a T too large fails before the rest
+    later = np.triu(np.ones((T, T)), 1)  # later[s, t] = 1(s < t)
+    earlier_w = later * w[:, VARIANCE, :, None]  # M @ earlier_w: sum_{s<t} w_s M_s
     cols = [w, t * w[:, [SLOPE, SLOPE_STDERR]]]  # weight columns, see N_COLUMNS
     if tangent:
         wdot = w * (1.0 - w) / tau  # dw/dC
@@ -194,83 +202,96 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
     ratio_features = np.array(RATIO_FEATURES)[:, None]
     window_ratios = [RATIOS.index(i) for i in WINDOW_RATIOS]
     window_columns = [column[i] for i in WINDOW_RATIOS]
-    later = np.triu(np.ones((T, T)), 1)  # later[s, t] = 1(s < t)
-    earlier_w = later * w[:, VARIANCE, :, None]  # M @ earlier_w: sum_{s<t} w_s M_s
     w_iv = w[:, INDICATOR_VARIANCE]
     s1_iv = col_sums[:, INDICATOR_VARIANCE]
     den_iv = 2.0 * (w_iv * (w_iv @ later)).sum(-1) + EPS
     # thresholds per (variable, hour), so that they broadcast over rows only
     phi_plus = np.repeat(np.asarray(phi_plus, dtype=float)[:, None], T, axis=1)
     phi_minus = np.repeat(np.asarray(phi_minus, dtype=float)[:, None], T, axis=1)
-    # first and last measured hours: constants of the mask
-    observed = M > 0
-    first_index = observed.argmax(-1)
-    measured = np.take_along_axis(observed, first_index[..., None], -1)[..., 0]
-    first = np.where(measured, (first_index + 1) / T, 1.0)
-    last = np.where(measured, (T - observed[..., ::-1].argmax(-1)) / T, 0.0)
 
     # no more rows than the batch has: the blocks cover the same rows
     rows_per_block = max(1, min(N, BLOCK_BYTES // (8 * D * T)))
+    rows_per_group = rows_per_block * GROUP_BLOCKS
     buffers = [np.empty(n * rows_per_block * D * T)
                for n in (n_feat, len(DEVIATION_WINDOWS), len(SECOND_PASS_WINDOWS))]
     sums = np.empty(D * n_feat * rows_per_block * cols.shape[-1])
     H = np.empty((N, D, N_SUMMARIES))
     dH_dC = np.zeros((N, D, N_SUMMARIES)) if tangent else None
     dH_dphi = np.empty((2, N, D)) if tangent else None
-    for start in range(0, N, rows_per_block):
-        rows = slice(start, min(start + rows_per_block, N))
-        Xb, Mb = X[rows], M[rows]
-        R = Xb.shape[0]
-        F, P, Q = (buf[: buf.size // rows_per_block * R].reshape(-1, R, D, T)
-                   for buf in buffers)
 
-        # first pass: every (feature, column) time sum in one matmul
-        F[F_M] = Mb
-        np.multiply(Mb, Xb, out=F[F_MX])
-        gates = F[F_ABOVE : F_BELOW + 1]
-        np.subtract(Xb, phi_plus, out=gates[0])
-        np.subtract(phi_minus, Xb, out=gates[1])
-        gates /= tau
-        gated = gate(gates)
-        np.multiply(Mb, gated, out=gates)
-        if tangent:  # d/dphi of the soft indicators, up to sign and tau
-            np.multiply(gates, 1.0 - gated, out=F[F_ABOVE_SLOPE:])
-        # |M[t+1] - M[t]| at t, over the flattened block; 0 at t = T
-        switches = F[F_SWITCH].reshape(-1)
-        np.subtract(Mb.reshape(-1)[1:], Mb.reshape(-1)[:-1], out=switches[:-1])
-        F[F_SWITCH, :, :, -1] = 0.0
-        np.abs(switches, out=switches)
-        S = sums[: sums.size // rows_per_block * R].reshape(D, n_feat * R, -1)
-        np.matmul(F.reshape(-1, D, T).transpose(1, 0, 2), cols, out=S)
-        S = S.reshape(D, n_feat, R, -1).transpose(1, 2, 0, 3)  # (K, R, D, J)
-        m = S[F_M]  # (R, D, J): the sums of w M
+    def fill_group(group):  # a function: the group's arrays die on return
+        G = group.stop - group.start
+        # the per-row sums of the group's blocks, which the closed forms read
+        m = np.empty((G, D, cols.shape[-1]))  # sums of w M
+        s = np.empty((len(DEVIATION_WINDOWS), G, D))  # sum v + EPS, v ~ w M
+        mean = np.empty_like(s)  # first-pass means
+        mbar = np.empty((G, D))
+        num = np.empty((len(RATIOS), G, D, n_c))  # ratio numerators
+        q = np.empty((len(SECOND_PASS_WINDOWS), D, G, n_c))
+        for start in range(group.start, group.stop, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, group.stop))
+            part = slice(rows.start - group.start, rows.stop - group.start)
+            Xb, Mb = X[rows], M[rows]
+            R = Xb.shape[0]
+            F, P, Q = (buf[: buf.size // rows_per_block * R].reshape(-1, R, D, T)
+                       for buf in buffers)
 
-        # second pass: sums of deviations from the first-pass means, and of
-        # their products, each against its own summary's window
-        v_sums = m[..., dev_columns].transpose(2, 0, 1, 3)  # (4, R, D, n_c)
-        s = v_sums[..., 0] + EPS
-        mean = S[[F_MX, F_MX, F_M, F_M], :, :,
-                 [VARIANCE, SLOPE, COL_T_SLOPE, COL_T_STDERR]] / s
-        np.subtract(Xb, mean[:P_SLOPE_T, ..., None], out=P[:P_SLOPE_T])
-        np.subtract(t, mean[P_SLOPE_T:, ..., None], out=P[P_SLOPE_T:])
-        MP = Q[: len(DEVIATION_WINDOWS)]
-        np.multiply(Mb, P, out=MP)
-        np.multiply(MP[P_VARIANCE], P[P_VARIANCE], out=Q[Q_DEV2])
-        np.multiply(MP[P_SLOPE_T], P[P_SLOPE_X : P_SLOPE_T + 1],
-                    out=Q[Q_AB : Q_AA + 1])
-        np.multiply(MP[P_STDERR_T], P[P_STDERR_T], out=Q[Q_STDERR])
-        np.matmul(Mb.transpose(1, 0, 2), earlier_w,
-                  out=Q[Q_PAIRS].transpose(1, 0, 2))
-        Q[Q_PAIRS] *= Mb
-        mbar = m[..., INDICATOR_VARIANCE] / (s1_iv + EPS)
-        np.subtract(Mb, mbar[..., None], out=Q[Q_INDICATOR])
-        np.square(Q[Q_INDICATOR], out=Q[Q_INDICATOR])
-        q = np.matmul(Q.transpose(0, 2, 1, 3), second_w).transpose(0, 2, 1, 3)
+            # first pass: every (feature, column) time sum in one matmul
+            F[F_M] = Mb
+            np.multiply(Mb, Xb, out=F[F_MX])
+            gates = F[F_ABOVE : F_BELOW + 1]
+            np.subtract(Xb, phi_plus, out=gates[0])
+            np.subtract(phi_minus, Xb, out=gates[1])
+            gates /= tau
+            gated = gate(gates)
+            np.multiply(Mb, gated, out=gates)
+            if tangent:  # d/dphi of the soft indicators, up to sign and tau
+                np.multiply(gates, 1.0 - gated, out=F[F_ABOVE_SLOPE:])
+            # |M[t+1] - M[t]| at t, over the flattened block; 0 at t = T
+            switches = F[F_SWITCH].reshape(-1)
+            np.subtract(Mb.reshape(-1)[1:], Mb.reshape(-1)[:-1], out=switches[:-1])
+            F[F_SWITCH, :, :, -1] = 0.0
+            np.abs(switches, out=switches)
+            S = sums[: sums.size // rows_per_block * R].reshape(D, n_feat * R, -1)
+            np.matmul(F.reshape(-1, D, T).transpose(1, 0, 2), cols, out=S)
+            S = S.reshape(D, n_feat, R, -1).transpose(1, 2, 0, 3)  # (K, R, D, J)
+            m[part] = S[F_M]
+            num[:, part] = S[ratio_features, :, :, ratio_columns].transpose(0, 2, 3, 1)
+            if tangent:  # dH/dphi's numerators, divided once for the group
+                dH_dphi[:, rows] = S[[F_ABOVE_SLOPE, F_BELOW_SLOPE], ...,
+                                     [FRAC_ABOVE, FRAC_BELOW]]
+
+            # second pass: sums of deviations from the first-pass means, and of
+            # their products, each against its own summary's window
+            np.add(m[part][..., DEVIATION_WINDOWS].transpose(2, 0, 1), EPS,
+                   out=s[:, part])
+            np.divide(S[[F_MX, F_MX, F_M, F_M], :, :,
+                        [VARIANCE, SLOPE, COL_T_SLOPE, COL_T_STDERR]], s[:, part],
+                      out=mean[:, part])
+            np.subtract(Xb, mean[:P_SLOPE_T, part, :, None], out=P[:P_SLOPE_T])
+            np.subtract(t, mean[P_SLOPE_T:, part, :, None], out=P[P_SLOPE_T:])
+            MP = Q[: len(DEVIATION_WINDOWS)]
+            np.multiply(Mb, P, out=MP)
+            np.multiply(MP[P_VARIANCE], P[P_VARIANCE], out=Q[Q_DEV2])
+            np.multiply(MP[P_SLOPE_T], P[P_SLOPE_X : P_SLOPE_T + 1],
+                        out=Q[Q_AB : Q_AA + 1])
+            np.multiply(MP[P_STDERR_T], P[P_STDERR_T], out=Q[Q_STDERR])
+            np.matmul(Mb.transpose(1, 0, 2), earlier_w,
+                      out=Q[Q_PAIRS].transpose(1, 0, 2))
+            Q[Q_PAIRS] *= Mb
+            np.divide(m[part, :, INDICATOR_VARIANCE], s1_iv + EPS, out=mbar[part])
+            np.subtract(Mb, mbar[part, :, None], out=Q[Q_INDICATOR])
+            np.square(Q[Q_INDICATOR], out=Q[Q_INDICATOR])
+            np.matmul(Q.transpose(0, 2, 1, 3), second_w, out=q[:, :, part])
+
+        # the closed forms, once for the group
+        q = q.transpose(0, 2, 1, 3)  # (10, G, D, n_c)
+        v_sums = m[..., dev_columns].transpose(2, 0, 1, 3)  # (4, G, D, n_c)
 
         # The corrected two-pass algorithm: the first-pass means are off by
         # their rounding, which sum v (x - mean1) measures; with v = w M and
         # s = sum v + EPS the exact mean is mean1 + (that sum - mean1 EPS) / s.
-        dev_sums = q[: len(DEVIATION_WINDOWS)]  # (4, R, D, n_c)
+        dev_sums = q[: len(DEVIATION_WINDOWS)]  # (4, G, D, n_c)
         shift = (dev_sums[..., 0] - mean * EPS) / s
         mean += shift
         residual = mean * EPS  # sum v (x - mean), exactly
@@ -284,16 +305,20 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         # dw/dC, and d(mean)/dC = sum dv (x - mean) / s
         if tangent:
             dmean = (dev_sums[..., 1] - shift * v_sums[..., 1]) / s
-        Hb = H[rows]
-        dHb = dH_dC[rows] if tangent else None
-        Hb[..., FIRST_MEASURED] = first[rows]
-        Hb[..., LAST_MEASURED] = last[rows]
+        Hb = H[group]
+        dHb = dH_dC[group] if tangent else None
+        # first and last measured hours: constants of the mask
+        observed = M[group] > 0
+        first_index = observed.argmax(-1)
+        measured = np.take_along_axis(observed, first_index[..., None], -1)[..., 0]
+        Hb[..., FIRST_MEASURED] = np.where(measured, (first_index + 1) / T, 1.0)
+        Hb[..., LAST_MEASURED] = np.where(
+            measured, (T - observed[..., ::-1].argmax(-1)) / T, 0.0)
 
         # ratios: numerator sums over sum w M + EPS, or sum w + EPS
-        den = m[..., ratio_columns].transpose(2, 0, 1, 3)  # (5, R, D, n_c)
+        den = m[..., ratio_columns].transpose(2, 0, 1, 3)  # (5, G, D, n_c)
         den[window_ratios] = col_sums[:, window_columns].transpose(1, 0, 2)[:, None]
         den[..., 0] += EPS
-        num = S[ratio_features, :, :, ratio_columns].transpose(0, 2, 3, 1)
         ratio = num[..., 0] / den[..., 0]
         Hb[..., RATIOS] = ratio.transpose(1, 2, 0)
         if tangent:
@@ -338,7 +363,7 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         den_se = centred(Q_STDERR, P_STDERR_T, P_STDERR_T) + EPS
         Hb[..., SLOPE_STDERR] = 1.0 / den_se
         if not tangent:
-            continue
+            return
         dnum = centred(Q_AB, P_SLOPE_T, P_SLOPE_X, 1) - (
             dmean[P_SLOPE_T] * residual[P_SLOPE_X]
             + dmean[P_SLOPE_X] * residual[P_SLOPE_T]
@@ -349,10 +374,12 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         dden = (centred(Q_STDERR, P_STDERR_T, P_STDERR_T, 1)
                 - 2.0 * dmean[P_STDERR_T] * residual[P_STDERR_T])
         dHb[..., SLOPE_STDERR] = -dden / den_se**2
-        dphi = dH_dphi[:, rows]
-        dphi[:] = S[[F_ABOVE_SLOPE, F_BELOW_SLOPE], ..., [FRAC_ABOVE, FRAC_BELOW]] / (
-            tau * (m[..., [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) + EPS))
+        dphi = dH_dphi[:, group]
+        dphi /= tau * (m[..., [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) + EPS)
         dphi[0] *= -1.0
+
+    for start in range(0, N, rows_per_group):
+        fill_group(slice(start, min(start + rows_per_group, N)))
     return H, dH_dC, dH_dphi
 
 
@@ -383,33 +410,3 @@ def compute_summary_tensor(X, M, params, mode="relaxed", tangent=False):
         hard=mode == "hard", tangent=tangent,
     )
     return (H, dH_dC, dH_dphi) if tangent else H
-
-
-def _view(i, X, M, w=1.0, phi=0.0, tau_temp=1.0):
-    """Summary i of the kernel for broadcastable (..., T) inputs; phi is
-    the threshold of whichever threshold summary i is."""
-    X, M, w = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (X, M, w)))
-    shape, T = X.shape[:-1], X.shape[-1]
-    # every leading index becomes a variable of a one-example batch
-    phi = np.broadcast_to(phi, shape).reshape(-1)
-    W = np.repeat(w.reshape(-1, 1, T), N_SUMMARIES, axis=1)
-    H = summary_blocks(X.reshape(1, -1, T), M.reshape(1, -1, T), W,
-                       phi, phi, tau_temp)[0]
-    return H[0, :, i].reshape(shape)[()]
-
-
-def _mask_view(i, M, w=1.0, tau_temp=1.0):
-    return _view(i, M, M, w, tau_temp=tau_temp)
-
-
-# One summary at a time: s_frac_above(X, M, w, phi_plus, tau_temp),
-# s_ever_measured(M, w, tau_temp), s_first_measured(M), ...
-s_mean, s_variance, s_frac_above, s_frac_below, s_slope = (
-    partial(_view, i) for i in (MEAN, VARIANCE, FRAC_ABOVE, FRAC_BELOW, SLOPE)
-)
-(s_ever_measured, s_indicator_mean, s_indicator_variance, s_switch_count,
- s_first_measured, s_last_measured, s_slope_stderr) = (
-    partial(_mask_view, i)
-    for i in (EVER_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE, SWITCH_COUNT,
-              FIRST_MEASURED, LAST_MEASURED, SLOPE_STDERR)
-)

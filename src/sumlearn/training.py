@@ -72,7 +72,7 @@ def init_params(batch, config):
     SD; coefficients at zero with the bias at the logit of the train
     prevalence.
     """
-    D, T, P = batch.n_variables, batch.T, batch.n_static
+    D, T = batch.n_variables, batch.T
     C = np.full((D, N_SUMMARIES), float(T))
     summary_params = SummaryParams(
         C, np.full(D, 1.0), np.full(D, -1.0), config.tau_temp

@@ -36,14 +36,19 @@ from sumlearn.summaries import (
     VARIANCE,
     SummaryParams,
     compute_summary_tensor,
+)
+
+import conftest
+from conftest import (
+    FIX_A,
+    FIX_B,
+    FIX_C,
+    random_batch,
     s_mean,
     s_slope,
     s_slope_stderr,
     s_variance,
 )
-
-import conftest
-from conftest import FIX_A, FIX_B, FIX_C, random_batch
 
 
 def record(line):

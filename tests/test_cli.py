@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 
 from sumlearn import SynthSpec, TrainConfig, apply_normalization, auc, predict
 from sumlearn.cli import FIELD_TYPES, build_parser, main, read_config
-from sumlearn.data import build_batch, ingest_csv
-from sumlearn.model import load_checkpoint
+from sumlearn.data import NormalizationStats, build_batch, ingest_csv
+from sumlearn.model import (
+    ModelParams,
+    feature_names_for,
+    load_checkpoint,
+    save_checkpoint,
+)
+from sumlearn.summaries import N_SUMMARIES, SummaryParams
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +547,29 @@ class TestTypedFailures:
                 (tmp_path / file_name).write_text(file_text.format(**fill))
         code = main(["eval", "--checkpoint", str(ckpt), "--cohort-dir", str(tmp_path)])
         assert_fails(capsys, code, 2, needle)
+
+    def test_buffer_no_allocator_grants_is_2(self, tmp_path, capsys):
+        # The (1, 1, T) series array is 8 MB, the summary kernel's (T, T)
+        # buffer 8 TB.  One patient, one variable and hard windows keep the
+        # arrays granted before it small.
+        T = 10**6
+        config = TrainConfig(mode="hard")
+        names = feature_names_for(["var0"], ["age"], T, config.mode)
+        save_checkpoint(
+            tmp_path / "model.ckpt",
+            SummaryParams(np.full((1, N_SUMMARIES), float(T)), np.ones(1),
+                          -np.ones(1), config.tau_temp),
+            ModelParams(np.zeros(len(names)), 0.0, names),
+            NormalizationStats(np.zeros(1), np.ones(1), np.zeros(1), np.ones(1),
+                               np.zeros(1)),
+            config, ["var0"], ["age"], T, 0)
+        (tmp_path / "timeseries.csv").write_text(
+            "patient_id,variable,hour,value\np1,var0,1,0.5\n")
+        (tmp_path / "static.csv").write_text("patient_id,age\np1,50\n")
+        (tmp_path / "labels.csv").write_text("patient_id,label\np1,1\n")
+        code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--cohort-dir", str(tmp_path)])
+        assert_fails(capsys, code, 2, f"shape ({T}, {T})")
 
 
 # ------------------------------------------- fuzzed configs and checkpoints

@@ -22,6 +22,15 @@ from sumlearn.summaries import (
     VARIANCE,
     SummaryParams,
     compute_summary_tensor,
+    sigmoid,
+    window_weights,
+)
+
+from conftest import (
+    FIX_A,
+    FIX_B,
+    FIX_C,
+    full_window_params,
     s_ever_measured,
     s_first_measured,
     s_frac_above,
@@ -34,11 +43,7 @@ from sumlearn.summaries import (
     s_slope_stderr,
     s_switch_count,
     s_variance,
-    sigmoid,
-    window_weights,
 )
-
-from conftest import FIX_A, FIX_B, FIX_C, full_window_params
 
 
 TOL = 1e-9
@@ -546,3 +551,55 @@ def test_scratch_buffers_are_sized_by_the_batch(monkeypatch):
     assert peak < 4e6
     for a, b in zip(got, expected):
         assert np.array_equal(a, b)
+
+
+def _group_batch(tangent, n_groups=1, extra=0):
+    """(X, M, w, phi_plus, phi_minus, tau, hard, tangent) arguments of
+    summary_blocks for ``n_groups`` groups of row blocks plus ``extra`` rows."""
+    rng = np.random.default_rng(3)
+    d, t = 6, 24
+    n = n_groups * sumlearn.summaries.GROUP_BLOCKS * _rows_per_block(d, t) + extra
+    X = rng.standard_normal((n, d, t))
+    M = (rng.random((n, d, t)) < 0.6).astype(float)
+    params = SummaryParams(rng.uniform(0, t, (d, 12)), rng.standard_normal(d),
+                           rng.standard_normal(d), 0.1)
+    mode = "relaxed" if tangent else "hard"
+    return (X, M, window_weights(params, t, mode), params.phi_plus,
+            params.phi_minus, params.tau_temp, not tangent, tangent)
+
+
+@pytest.mark.parametrize("tangent", [True, False], ids=["relaxed_tangent", "hard"])
+def test_outputs_do_not_depend_on_the_group_size(monkeypatch, tangent):
+    """The closed forms run once per group of blocks; any group size, from
+    one block to the whole batch, gives the same bits."""
+    args = _group_batch(tangent, n_groups=3, extra=_rows_per_block(6, 24) // 3)
+    expected = sumlearn.summaries.summary_blocks(*args)
+    for group_blocks in (1, 3, len(args[0])):
+        monkeypatch.setattr(sumlearn.summaries, "GROUP_BLOCKS", group_blocks)
+        got = sumlearn.summaries.summary_blocks(*args)
+        for a, b in zip(got, expected):
+            assert (a is None and b is None) or np.array_equal(a, b), group_blocks
+
+
+def _working_set(args):
+    """Peak bytes traced during one kernel call, less its outputs."""
+    tracemalloc.start()
+    try:
+        out = sumlearn.summaries.summary_blocks(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in out if a is not None)
+
+
+# Python objects (slices, views, small ints) that tracemalloc also counts
+WORKING_SET_SLACK = 16 * 1024
+
+
+@pytest.mark.parametrize("tangent", [True, False], ids=["relaxed_tangent", "hard"])
+def test_working_set_does_not_grow_with_the_batch(monkeypatch, tangent):
+    one, four = _group_batch(tangent, 1), _group_batch(tangent, 4)
+    assert _working_set(four) <= _working_set(one) + WORKING_SET_SLACK
+    # one group per call keeps every row's sums: the measure sees that
+    monkeypatch.setattr(sumlearn.summaries, "GROUP_BLOCKS", len(four[0]))
+    assert _working_set(four) > _working_set(one) + WORKING_SET_SLACK

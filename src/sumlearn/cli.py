@@ -7,7 +7,8 @@ flags override file values.  The keys are the field names of TrainConfig
 and SynthSpec (``max_epochs``, not ``epochs``), and each train/synth flag
 stores into its field (``--epochs`` into ``max_epochs``).  One file can
 serve both commands: each reads its own fields.  A key that is neither
-command's field is a usage error.
+command's field is a usage error.  A field's declaration (``errors.setting``)
+gives its type, bounds, choices and flag.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def _int_list(text):
 
 
 def read_config(path):
-    """Parse a flat key = value config file into a dict of strings, checking
-    each key against FIELD_TYPES and each value against the key's type."""
+    """Parse a flat key = value config file into a dict of values, each key
+    checked against FIELD_TYPES and each value parsed as the key's type."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -96,28 +97,22 @@ def read_config(path):
                 "(keys are TrainConfig and SynthSpec field names)"
             )
         try:
-            _PARSERS[FIELD_TYPES[key]](value)
+            out[key] = _PARSERS[FIELD_TYPES[key]](value)
         except ValueError:
             raise UsageError(
                 f"{path} line {line_no}: {key} = {value!r} is not {FIELD_TYPES[key]}"
             ) from None
-        out[key] = value
     return out
 
 
 def _config(cls, args):
     """``cls`` built from its fields: config-file values, then every flag
     given on the command line (a flag's dest is its field name)."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    values = {}
-    if args.config:
-        for key, raw in read_config(args.config).items():
-            if key in names:
-                values[key] = _PARSERS[FIELD_TYPES[key]](raw)
-    for name in names:
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
-    return cls(**values)
+    names = {f.name for f in dataclasses.fields(cls)}
+    values = read_config(args.config) if args.config else {}
+    values.update({name: getattr(args, name) for name in names
+                   if getattr(args, name, None) is not None})
+    return cls(**{key: values[key] for key in names & values.keys()})
 
 
 def cmd_synth(args):
@@ -286,6 +281,17 @@ def cmd_gradcheck(args):
     return 0 if status == "PASS" else 3
 
 
+def _add_field_flags(parser, cls):
+    """The flag of each field of ``cls`` that declares one, storing into the
+    field, of its type and choices."""
+    for f in dataclasses.fields(cls):
+        flag = f.metadata.get("flag")
+        if flag:
+            parser.add_argument(
+                "--" + f.name.replace("_", "-") if flag is True else flag,
+                dest=f.name, type=_PARSERS[f.type], choices=f.metadata["choices"])
+
+
 def build_parser():
     parser = _Parser(prog="sumlearn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -296,11 +302,7 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic cohort")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", dest="n_examples", type=int)
-    p.add_argument("--d", dest="n_variables", type=int)
-    p.add_argument("--t", dest="T", type=int)
-    p.add_argument("--prevalence", type=float)
+    _add_field_flags(p, synth.SynthSpec)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", parents=[cohort], help="train across one or more seeds")
@@ -311,17 +313,7 @@ def build_parser():
                    help="comma-separated seed list")
     p.add_argument("--t", type=int, default=24, help="hours per example")
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--mode", choices=model.MODES)
-    p.add_argument("--penalty", choices=model.PENALTIES)
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--lr-summary", dest="lr_summary", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", dest="max_epochs", type=int)
-    p.add_argument("--eval-interval", dest="eval_interval", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau-hs", dest="tau_hs", type=float)
-    p.add_argument("--tau-temp", dest="tau_temp", type=float)
+    _add_field_flags(p, model.TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[cohort], help="AUC of a checkpoint on a cohort")

@@ -308,8 +308,8 @@ def ingest_csv(
     columns, their order and the one-hot categories (e.g. from a checkpoint;
     ``categorical_columns`` is then not read): each name is a column of the
     static header or ``<col>=<value>``, and a header column no name uses
-    raises SchemaError.  A name repeated in ``variables`` or ``static_names``
-    raises SchemaError.
+    raises SchemaError.  So does a name repeated in ``variables`` or
+    ``static_names``, or a one-hot name that reads back as another column's.
     """
     check_distinct("variables", variables or (), SchemaError)
     check_distinct("static_names", static_names or (), SchemaError)
@@ -361,19 +361,19 @@ def ingest_csv(
         raise SchemaError(f"patients missing static rows: {missing_static[:5]}")
 
     # one-hot expansion of categorical static columns
+    built = None  # (source column index, category or None) of each name
     if static_names is None:
         categorical = set(categorical_columns)
         unknown = categorical - set(raw_cols)
         if unknown:
             raise SchemaError(f"categorical columns not in static header: {unknown}")
-        static_names = []
+        static_names, built = [], []
         for j, col in enumerate(raw_cols):
-            if col in categorical:
-                cats = sorted({static_rows[p][j] for p in patient_ids})
-                static_names.extend(f"{col}={cat}" for cat in cats)
-            else:
-                static_names.append(col)
-    encoders = _static_encoders(static_names, raw_cols)
+            cats = (sorted({static_rows[p][j] for p in patient_ids})
+                    if col in categorical else [None])
+            static_names.extend(col if cat is None else f"{col}={cat}" for cat in cats)
+            built.extend((j, cat) for cat in cats)
+    encoders = _static_encoders(static_names, raw_cols, built)
 
     N, D = len(patient_ids), len(variable_names)
     var_index = {v: d for d, v in enumerate(variable_names)}
@@ -409,10 +409,11 @@ def ingest_csv(
     return RawCohort(values, S, y, patient_ids, variable_names, list(static_names))
 
 
-def _static_encoders(static_names, raw_cols):
+def _static_encoders(static_names, raw_cols, built=None):
     """(source column index, category or None) of each static name: a column
     of the header as it is, or ``<col>=<category>`` of a one-hot column (the
-    longest such column)."""
+    longest such column).  A name that reads back as another column than the
+    one ``built`` made it from (repeated, or a longer column's) is a SchemaError."""
     check_distinct("static header", raw_cols, SchemaError)
     encoders = []
     for name in static_names:
@@ -424,6 +425,10 @@ def _static_encoders(static_names, raw_cols):
             raise SchemaError(f"static column {name!r} not in static header")
         col = max(cols, key=len)
         encoders.append((raw_cols.index(col), name[len(col) + 1:]))
+    for name, made, (k, cat) in zip(static_names, built or encoders, encoders):
+        if made != (k, cat):
+            raise SchemaError(f"one-hot name {name!r} of column {raw_cols[made[0]]!r} "
+                              f"is ambiguous with column {raw_cols[k]!r}")
     unused = sorted(set(raw_cols) - {raw_cols[j] for j, _ in encoders})
     if unused:
         raise SchemaError(f"static columns {unused} not in the fixed static columns")
@@ -452,15 +457,15 @@ def build_batch(raw, population_median=None):
     population_median = np.asarray(population_median, dtype=float)
     if population_median.shape != (raw.values.shape[1],):
         raise DataError("population_median must have one entry per variable")
-    M = (~np.isnan(raw.values)).astype(float)
-    X = np.empty_like(raw.values)
-    carry = np.broadcast_to(population_median, raw.values.shape[:2])
-    for t in range(raw.values.shape[2]):
-        measured = M[:, :, t] == 1
-        carry = np.where(measured, raw.values[:, :, t], carry)
-        X[:, :, t] = carry
+    M = ~np.isnan(raw.values)
+    # each cell takes the latest measured hour up to its own; -1 before the
+    # first, where the median goes
+    latest = np.where(M, np.arange(raw.T), -1)
+    np.maximum.accumulate(latest, axis=2, out=latest)
+    X = np.take_along_axis(raw.values, latest, axis=2)
+    np.copyto(X, population_median[:, None], where=latest < 0)
     return ClinicalBatch(
-        X, M, raw.S.copy(), raw.y.copy(), list(raw.patient_ids),
+        X, M.astype(float), raw.S.copy(), raw.y.copy(), list(raw.patient_ids),
         raw.variable_names, raw.static_names,
     )
 

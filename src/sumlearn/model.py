@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -12,7 +11,7 @@ import numpy as np
 from . import summaries
 from .data import NormalizationStats, class_weights
 from .errors import (CheckpointFormatError, DataError, check_distinct,
-                     check_finite_fields)
+                     check_fields, check_value, setting)
 from .summaries import N_SUMMARIES, SUMMARY_NAMES, compute_summary_tensor, sigmoid
 
 EPS_HS = 1e-8
@@ -50,45 +49,6 @@ class ModelParams:
 
     def copy(self):
         return ModelParams(self.coeffs.copy(), self.bias, list(self.feature_names))
-
-
-@dataclass
-class TrainConfig:
-    """Optimizer and regularization settings."""
-
-    learning_rate: float = 1e-5
-    lr_summary: float = None  # falls back to learning_rate
-    batch_size: int = 256
-    max_epochs: int = 5000
-    eval_interval: int = 100
-    patience: int = 50
-    alpha: float = 1e-5
-    tau_hs: float = 1.0
-    tau_temp: float = 0.1
-    mode: str = "relaxed"
-    penalty: str = "horseshoe"
-    seed: int = 0
-    val_fraction: float = 0.15
-
-    def __post_init__(self):
-        check_finite_fields(self)
-        _layout(self.mode)
-        if self.penalty not in PENALTIES:
-            raise DataError(f"unknown penalty {self.penalty!r}")
-        for name in ("learning_rate", "tau_hs", "tau_temp"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        for name in ("alpha", "lr_summary"):  # lr_summary may be None
-            if (getattr(self, name) or 0) < 0:
-                raise DataError(f"{name} must be non-negative")
-        for name, low in (("batch_size", 1), ("max_epochs", 1), ("eval_interval", 1),
-                          ("seed", 0)):
-            if getattr(self, name) < low:
-                raise DataError(f"{name} must be >= {low}")
-
-    @property
-    def summary_learning_rate(self):
-        return self.learning_rate if self.lr_summary is None else self.lr_summary
 
 
 def _layout(mode):
@@ -179,6 +139,34 @@ PENALTIES = {
 }
 
 
+@dataclass
+class TrainConfig:
+    """Optimizer and regularization settings."""
+
+    learning_rate: float = setting(1e-5, above=0, flag="--lr")
+    lr_summary: float = setting(None, low=0, flag=True)  # None: learning_rate
+    batch_size: int = setting(256, low=1, flag=True)
+    max_epochs: int = setting(5000, low=1, flag="--epochs")
+    eval_interval: int = setting(100, low=1, flag=True)
+    patience: int = setting(50, low=0, flag=True)
+    alpha: float = setting(1e-5, low=0, flag=True)
+    tau_hs: float = setting(1.0, above=0, flag=True)
+    tau_temp: float = setting(0.1, above=0, flag=True)
+    mode: str = setting("relaxed", choices=MODES, flag=True)
+    penalty: str = setting("horseshoe", choices=PENALTIES, flag=True)
+    seed: int = setting(0, low=0)
+    val_fraction: float = 0.15
+
+    def __post_init__(self):
+        check_fields(self)
+        if not 0 < self.val_fraction < 1:
+            raise DataError("val_fraction must be in (0, 1)")
+
+    @property
+    def summary_learning_rate(self):
+        return self.learning_rate if self.lr_summary is None else self.lr_summary
+
+
 def objective(z, y, weights, coeffs, config):
     """Weighted BCE of the logits z plus alpha * penalty of the coefficients."""
     penalty = PENALTIES[config.penalty][0](coeffs, config.tau_hs)
@@ -255,22 +243,6 @@ def _array(path, doc, key, shape, positive=False):
     return value
 
 
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _value(path, name, value, kind, positive=False):
-    """``value``, checked to be a JSON value of field type ``kind`` ('int',
-    'float' or 'str'; an int passes as a float, a bool as neither; a float
-    must be finite)."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-        raise CheckpointFormatError(f"{path}: {name} = {value!r} is not {kind}")
-    if kind == "float" and not abs(value) <= sys.float_info.max:  # also a huge int
-        raise CheckpointFormatError(f"{path}: {name} = {value!r} is not finite")
-    if positive and not value > 0:
-        raise CheckpointFormatError(f"{path}: {name} = {value!r} is not positive")
-    return value
-
-
 def load_checkpoint(path):
     """Load a checkpoint document; returns a dict of reconstructed objects."""
     try:
@@ -307,19 +279,16 @@ def load_checkpoint(path):
             f"{sorted(set(doc['config']) - config_keys)}, "
             f"missing {sorted(config_keys - set(doc['config']))}"
         )
-    for f in fields(TrainConfig):  # lr_summary may also be null
-        value = doc["config"][f.name]
-        if value is not None or f.default is not None:
-            _value(path, f"config.{f.name}", value, f.type)
     try:
         config = TrainConfig(**doc["config"])
     except DataError as exc:
-        raise CheckpointFormatError(f"{path}: config: {exc}") from None
-    T = _value(path, "T", doc["T"], "int", positive=True)
+        raise CheckpointFormatError(f"{path}: config.{exc}") from None
+    T = check_value(f"{path}: T", doc["T"], "int", CheckpointFormatError, low=1)
     variable_names, static_names = norm["variable_names"], norm["static_names"]
     D, P = len(variable_names), len(static_names)
     for key, size in (("D", D), ("I", N_SUMMARIES), ("P", P)):
-        if _value(path, key, doc[key], "int") != size:
+        if check_value(f"{path}: {key}", doc[key], "int",
+                       CheckpointFormatError) != size:
             raise CheckpointFormatError(f"{path}: {key} = {doc[key]}, expected {size}")
     # flat_series has 2 T names per variable, so no T above the stored count
     # can match; capping T there gives the same verdict without building the
@@ -339,11 +308,14 @@ def load_checkpoint(path):
         _array(path, doc, "C", (D, N_SUMMARIES)),
         _array(path, doc, "phi_plus", (D,)),
         _array(path, doc, "phi_minus", (D,)),
-        float(_value(path, "tau_temp", doc["tau_temp"], "float", positive=True)),
+        float(check_value(f"{path}: tau_temp", doc["tau_temp"], "float",
+                          CheckpointFormatError, above=0)),
     )
     model_params = ModelParams(
         _array(path, doc, "coeffs", (len(doc["feature_names"]),)),
-        float(_value(path, "bias", doc["bias"], "float")), list(doc["feature_names"]),
+        float(check_value(f"{path}: bias", doc["bias"], "float",
+                          CheckpointFormatError)),
+        list(doc["feature_names"]),
     )
     return {
         "summary_params": summary_params,
@@ -353,5 +325,6 @@ def load_checkpoint(path):
         "variable_names": list(variable_names),
         "static_names": list(static_names),
         "T": T,
-        "seed": _value(path, "seed", doc["seed"], "int"),
+        "seed": check_value(f"{path}: seed", doc["seed"], "int",
+                            CheckpointFormatError),
     }

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import (LABELS_HEADER, SERIES_HEADER, STATIC_HEADER, RawCohort,
                    build_batch, cohort_paths, series_array)
-from .errors import DataError, check_finite_fields
+from .errors import DataError, check_fields, setting
 from .summaries import sigmoid
 
 AR_COEFF = 0.8
@@ -33,11 +33,11 @@ AR_COEFF = 0.8
 
 @dataclass
 class SynthSpec:
-    n_examples: int = 4000
-    n_variables: int = 6
-    T: int = 24
-    n_static: int = 4
-    prevalence: float = 0.15
+    n_examples: int = setting(4000, low=1, flag="--n")
+    n_variables: int = setting(6, flag="--d")
+    T: int = setting(24, flag="--t")
+    n_static: int = setting(4, low=1)
+    prevalence: float = setting(0.15, flag=True)
     trend_var: int = 0
     trend_window: int = 8
     trend_weight: float = 1.5
@@ -52,13 +52,10 @@ class SynthSpec:
     missing_weight: float = 0.7
     p_obs: float = 0.9
     noise_scale: float = 1.0
-    seed: int = 0
+    seed: int = setting(0, low=0, flag=True)
 
     def __post_init__(self):
-        check_finite_fields(self)
-        for name, low in (("n_examples", 1), ("n_static", 1), ("seed", 0)):
-            if getattr(self, name) < low:
-                raise DataError(f"{name} must be >= {low}")
+        check_fields(self)
         planted = {self.trend_var, self.threshold_var, self.missing_var}
         if len(planted) != 3 or not all(0 <= d < self.n_variables for d in planted):
             raise DataError("planted variables must be distinct and in range")

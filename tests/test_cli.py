@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from sumlearn import SynthSpec, TrainConfig, apply_normalization, auc, predict
 from sumlearn.cli import FIELD_TYPES, build_parser, main, read_config
 from sumlearn.data import NormalizationStats, build_batch, ingest_csv
+from sumlearn.errors import DataError
 from sumlearn.model import (
     ModelParams,
     feature_names_for,
@@ -232,7 +233,7 @@ class TestConfigFile:
         )
         parsed = read_config(cfg)
         assert parsed == {
-            "learning_rate": "0.01", "mode": "hard", "max_epochs": "25",
+            "learning_rate": 0.01, "mode": "hard", "max_epochs": 25,
         }
 
     def test_cli_flag_overrides_config(self, cohort_dir, tmp_path):
@@ -265,6 +266,13 @@ class TestDeterminism:
             assert a == b, name
 
 
+def _subcommand(command):
+    """The argument parser of one ``sumlearn`` command."""
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 # the loader's message for feature_names that are not the checkpoint's layout
 LAYOUT = "feature_names are not the relaxed design columns"
 
@@ -292,6 +300,84 @@ class TestConfigSchema:
             for action in sub.choices[command]._actions:
                 assert action.dest in fields | arguments, (command, action.dest)
         assert set(FIELD_TYPES.values()) <= {"int", "float", "str"}
+
+    def test_field_flags_take_the_field_type_and_choices(self):
+        for command, cls in (("synth", SynthSpec), ("train", TrainConfig)):
+            actions = {a.dest: a for a in _subcommand(command)._actions}
+            for f in dataclasses.fields(cls):
+                if not f.metadata.get("flag"):
+                    assert f.name not in actions, (command, f.name)
+                    continue
+                action = actions[f.name]
+                assert action.type.__name__ == f.type, (command, f.name)
+                assert action.choices == f.metadata["choices"], (command, f.name)
+
+    def test_flags_are_the_hand_written_ones(self):
+        # the flag sets of the parser that spelled every flag out by hand
+        assert {command: {s for a in _subcommand(command)._actions
+                          for s in a.option_strings}
+                for command in ("synth", "train")} == {
+            "synth": {"-h", "--help", "--out", "--config", "--seed", "--n", "--d",
+                      "--t", "--prevalence"},
+            "train": {"-h", "--help", "--cohort-dir", "--categorical", "--out",
+                      "--config", "--seeds", "--t", "--test-fraction", "--mode",
+                      "--penalty", "--lr", "--lr-summary", "--batch-size",
+                      "--epochs", "--eval-interval", "--patience", "--alpha",
+                      "--tau-hs", "--tau-temp"},
+        }
+
+    def test_a_bound_reads_alike_from_a_flag_a_file_and_a_checkpoint(
+            self, cohort_dir, trained_dir, tmp_path, capsys):
+        doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
+        cfg, ckpt = tmp_path / "run.cfg", tmp_path / "edited.ckpt"
+        checked = []
+        for command, cls in (("synth", SynthSpec), ("train", TrainConfig)):
+            flags = {a.dest: a.option_strings[0]
+                     for a in _subcommand(command)._actions}
+            args = [command, "--out", str(tmp_path / "out")]
+            if command == "train":
+                args += ["--cohort-dir", str(cohort_dir), "--t", "12"]
+            for f in dataclasses.fields(cls):
+                low, above = f.metadata.get("low"), f.metadata.get("above")
+                if f.name not in flags or low is above is None:
+                    continue
+                value = low - 1 if low is not None else above
+                cfg.write_text(f"{f.name} = {value}\n")
+                texts = []
+                for argv in (args + [flags[f.name], str(value)],
+                             args + ["--config", str(cfg)]):
+                    code = main(argv)
+                    texts.append(capsys.readouterr().err)
+                    assert code == 2, (argv, texts[-1])
+                if command == "train":
+                    ckpt.write_text(json.dumps(
+                        {**doc, "config": {**doc["config"], f.name: value}}))
+                    code = main(["eval", "--checkpoint", str(ckpt),
+                                 "--cohort-dir", str(cohort_dir)])
+                    err = capsys.readouterr().err
+                    assert code == 2, err
+                    texts.append(err.replace(f"{ckpt}: config.", "", 1))
+                assert len(set(texts)) == 1 and "must be" in texts[0], texts
+                checked.append(f.name)
+        assert sorted(checked) == sorted([
+            "n_examples", "seed", "learning_rate", "lr_summary", "batch_size",
+            "max_epochs", "eval_interval", "patience", "alpha", "tau_hs",
+            "tau_temp"])
+
+    @pytest.mark.parametrize("make, needle", [
+        (lambda: TrainConfig(batch_size="512"), "batch_size = '512' is not int"),
+        (lambda: SynthSpec(T="24"), "T = '24' is not int"),
+        (lambda: TrainConfig(max_epochs=2.5), "max_epochs = 2.5 is not int"),
+        (lambda: TrainConfig(seed=True), "seed = True is not int"),
+        (lambda: SynthSpec(n_examples=2.5), "n_examples = 2.5 is not int"),
+        (lambda: TrainConfig(mode="soft"), "mode = 'soft' is not one of"),
+        (lambda: TrainConfig(learning_rate=10**400), "is not finite"),
+    ], ids=["str_batch_size", "str_T", "float_max_epochs", "bool_seed",
+            "float_n_examples", "unknown_mode", "huge_int_learning_rate"])
+    def test_library_setting_of_the_wrong_type_is_a_data_error(self, make, needle):
+        with pytest.raises(DataError) as err:
+            make()
+        assert needle in str(err.value)
 
     @pytest.mark.parametrize("key", ["epochs", "learning_rat"])
     def test_unknown_key_is_1(self, cohort_dir, tmp_path, capsys, key):
@@ -385,7 +471,7 @@ class TestTypedFailures:
         (["train", "--lr", "nan"], "learning_rate = nan is not finite"),
         (["train", "--alpha", "nan"], "alpha = nan is not finite"),
         (["train", "--tau-temp", "inf"], "tau_temp = inf is not finite"),
-        (["train", "--lr-summary", "-1"], "lr_summary must be non-negative"),
+        (["train", "--lr-summary", "-1"], "lr_summary must be >= 0"),
         (["synth", "--n", "-3"], "n_examples must be >= 1"),
         (["synth", "--n", "0"], "n_examples must be >= 1"),
         (["synth", "--config", "n_static = 0\n"], "n_static must be >= 1"),
@@ -395,6 +481,9 @@ class TestTypedFailures:
         (["synth", "--seed", "-1"], "seed must be >= 0"),
         (["synth", "--config", "seed = -1\n"], "seed must be >= 0"),
         (["train", "--config", "seed = -1\n"], "seed must be >= 0"),
+        (["train", "--config", "val_fraction = 1.5\n"],
+         "val_fraction must be in (0, 1)"),
+        (["train", "--patience", "-3"], "patience must be >= 0"),
         # numpy refuses each (4000, 6, T) shape before allocating anything
         (["synth", "--t", str(10**20)],
          f"T = {10**20}: cannot allocate the (4000, 6, {10**20}) series array"),
@@ -404,7 +493,8 @@ class TestTypedFailures:
     ], ids=["nan_lr", "nan_alpha", "inf_tau_temp", "negative_lr_summary",
             "negative_n", "zero_n", "zero_n_static", "inf_prevalence",
             "negative_trend_var", "negative_seed", "negative_seed_in_config",
-            "negative_train_seed_in_config", "synth_T_1e20", "synth_T_3e18"])
+            "negative_train_seed_in_config", "val_fraction_above_1",
+            "negative_patience", "synth_T_1e20", "synth_T_3e18"])
     def test_config_value_out_of_range_is_2(self, cohort_dir, tmp_path, capsys,
                                             args, needle):
         if "--config" in args:
@@ -496,7 +586,7 @@ class TestTypedFailures:
         (lambda doc: {**doc, "T": "x"}, "T = 'x' is not int"),
         (lambda doc: {**doc, "config": {**doc["config"], "learning_rate": "fast"}},
          "config.learning_rate = 'fast' is not float"),
-        (lambda doc: {**doc, "tau_temp": 0}, "tau_temp = 0 is not positive"),
+        (lambda doc: {**doc, "tau_temp": 0}, "tau_temp must be > 0"),
         (lambda doc: {**doc, "feature_names": 7}, "feature_names is not a list"),
         (lambda doc: {**doc, "bias": math.nan}, "bias = nan is not finite"),
         (lambda doc: {**doc, "tau_temp": math.inf}, "tau_temp = inf is not finite"),

@@ -188,10 +188,19 @@ class TestIngest:
      "variables repeats the name 'hr'", None),
     ("static.csv", None, {"static_names": ["age", "age"]}, SchemaError,
      "static_names repeats the name 'age'", None),
+    # the one-hot name of a = b repeats the numeric column a=b
+    ("static.csv", "patient_id,a,a=b\np1,b,1\np2,x,2\n",
+     {"categorical_columns": ("a",)}, SchemaError,
+     "one-hot name 'a=b' of column 'a' is ambiguous with column 'a=b'", None),
+    # the one-hot name of a = b=c reads back as category c of column a=b
+    ("static.csv", "patient_id,a,a=b\np1,b=c,1\np2,x,2\n",
+     {"categorical_columns": ("a",)}, SchemaError,
+     "one-hot name 'a=b=c' of column 'a' is ambiguous with column 'a=b'", None),
 ], ids=["wrong_header", "label_not_int", "label_not_binary", "duplicate_label",
         "duplicate_static", "static_row_length", "missing_static",
         "unknown_categorical", "repeated_static_column", "repeated_variable",
-        "repeated_static_name"])
+        "repeated_static_name", "one_hot_name_repeats_a_column",
+        "one_hot_name_of_a_longer_column"])
 def test_cohort_errors_name_their_cause(tmp_path, name, text, kwargs, error,
                                         message, line):
     paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)
@@ -458,6 +467,28 @@ class TestImpute:
         p1 = raw.patient_ids.index("p1")
         assert filled[p1, sbp, 0] == median[sbp]
         assert median[sbp] == 115  # median of {120, 110}
+
+    @pytest.mark.parametrize("shape", [(9, 4, 12), (6, 3, 1)])
+    def test_carry_equals_a_per_hour_loop(self, shape):
+        rng = np.random.default_rng(shape[2])
+        values = rng.standard_normal(shape)
+        values[rng.random(shape) < 0.6] = np.nan
+        values[:3, 0, :shape[2] // 2] = np.nan  # leading gaps
+        values[:, 1, :] = np.nan  # a variable never measured
+        median = rng.standard_normal(shape[1])
+        raw = sumlearn.data.RawCohort(
+            values, np.zeros((shape[0], 1)), np.zeros(shape[0]),
+            [f"p{n}" for n in range(shape[0])],
+            [f"v{d}" for d in range(shape[1])], ["s"])
+        # the reference: carry each series forward one hour at a time
+        expected = np.empty_like(values)
+        carry = np.broadcast_to(median, shape[:2])
+        for t in range(shape[2]):
+            carry = np.where(np.isnan(values[:, :, t]), carry, values[:, :, t])
+            expected[:, :, t] = carry
+        batch = build_batch(raw, median)
+        assert np.array_equal(batch.X, expected)
+        assert np.array_equal(batch.M, ~np.isnan(values))
 
     def test_no_nans_remain(self, tmp_path):
         paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)

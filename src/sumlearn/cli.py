@@ -1,6 +1,7 @@
 """Command-line entry point: synth | train | eval | ablate | report | gradcheck.
 
-Exit codes: 0 success, 1 usage, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage or an output path that cannot be written,
+2 data error, 3 numerical failure.
 
 Config files are flat ``key = value`` text ('#' comments); command-line
 flags override file values.  The keys are the field names of TrainConfig
@@ -29,6 +30,7 @@ from .errors import (
     NumericalError,
     SumlearnError,
     UsageError,
+    check_value,
 )
 
 # Config-file key -> field type ('int', 'float' or 'str'); ``seed`` is an
@@ -166,9 +168,11 @@ def cmd_train(args):
     config = _config(model.TrainConfig, args)
     seeds = args.seeds
     categorical = args.categorical.split(",") if args.categorical else ()
-    raw = data.ingest_csv(*data.cohort_paths(args.cohort_dir), args.t,
+    T = check_value("--t", args.t, "int", UsageError, low=1)
+    raw = data.ingest_csv(*data.cohort_paths(args.cohort_dir), T,
                           categorical_columns=categorical)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # fails before any fit, not after one
     all_metrics = []
     for seed in seeds:
         metrics = _fit_one_seed(
@@ -357,6 +361,9 @@ def main(argv=None):
         return args.func(args)
     except UsageError as exc:
         _print_failure("usage error", exc)
+        return 1
+    except OSError as exc:  # every read raises a typed error, so this is a write
+        _print_failure("usage error", f"cannot write {exc.filename}: {exc.strerror}")
         return 1
     except (DataError, CheckpointFormatError) as exc:
         _print_failure("data error", exc)

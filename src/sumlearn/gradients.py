@@ -30,29 +30,13 @@ from .summaries import FRAC_ABOVE, FRAC_BELOW, N_SUMMARIES, sigmoid
 from .summaries import compute_summary_tensor
 
 
-# The learnable blocks, each an attribute of ModelParams or SummaryParams
-# with a ``d_<name>`` field in GradientSet.
+# The learnable blocks: attributes of ModelParams or SummaryParams, keys of grads.
 BLOCKS = ("coeffs", "bias", "C", "phi_plus", "phi_minus")
 
 
 def block_owner(name, summary_params, model_params):
     """The parameter object that holds block ``name``."""
     return model_params if hasattr(model_params, name) else summary_params
-
-
-@dataclass
-class GradientSet:
-    """Partial derivatives of the loss for every learnable block.
-
-    Non-differentiable summaries (first/last measured) contribute exactly
-    zero to d_C.
-    """
-
-    d_coeffs: np.ndarray  # (F,)
-    d_bias: float
-    d_C: np.ndarray  # (D, I)
-    d_phi_plus: np.ndarray  # (D,)
-    d_phi_minus: np.ndarray  # (D,)
 
 
 def backprop_summaries(G, dH_dC, dH_dphi):
@@ -63,7 +47,9 @@ def backprop_summaries(G, dH_dC, dH_dphi):
 
 
 def loss_and_gradients(summary_params, model_params, batch, config, weights=None):
-    """(loss, GradientSet): the loss equals total_loss on the same inputs."""
+    """(loss, grads): the loss equals total_loss on the same inputs; grads maps
+    each name of BLOCKS, in order, to dL/d(block).  The non-differentiable
+    summaries (first/last measured) add exactly zero to grads["C"]."""
     if weights is None:
         weights = class_weights(batch.y)
     N, D = batch.X.shape[:2]
@@ -85,7 +71,7 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
     else:
         G = np.outer(r, model_params.coeffs[:D * N_SUMMARIES]).reshape(N, D, -1)
         d_summaries = backprop_summaries(G, *tangents)
-    return loss, GradientSet(d_coeffs, r.sum(), *d_summaries)
+    return loss, dict(zip(BLOCKS, (d_coeffs, r.sum(), *d_summaries)))
 
 
 @dataclass
@@ -136,7 +122,7 @@ def finite_difference_check(
     picks = rng.choice(F, size=min(n_coeff_samples, F), replace=False)
     entries = []
     for name in BLOCKS:
-        grad = np.asarray(getattr(grads, "d_" + name))
+        grad = np.asarray(grads[name])
         indices = ([(int(j),) for j in picks] if name == "coeffs"
                    else np.ndindex(grad.shape))
         for index in indices:

@@ -311,6 +311,10 @@ def load_checkpoint(path):
         float(check_value(f"{path}: tau_temp", doc["tau_temp"], "float",
                           CheckpointFormatError, above=0)),
     )
+    if summary_params.tau_temp != config.tau_temp:  # every writer copies it from config
+        raise CheckpointFormatError(
+            f"{path}: tau_temp = {summary_params.tau_temp} differs from "
+            f"config.tau_temp = {config.tau_temp}")
     model_params = ModelParams(
         _array(path, doc, "coeffs", (len(doc["feature_names"]),)),
         float(check_value(f"{path}: bias", doc["bias"], "float",

@@ -159,20 +159,11 @@ def generate(spec):
     )
     batch = build_batch(raw)
 
-    signals = []
-    if spec.trend_weight != 0:
-        signals.append(
-            {"variable": variable_name(d0), "summary": "slope", "window": c0}
-        )
-    if spec.threshold_weight != 0:
-        signals.append(
-            {"variable": variable_name(d1), "summary": "frac_above", "window": c1}
-        )
-    if spec.missing_weight != 0:
-        signals.append(
-            {"variable": variable_name(d2), "summary": "indicator_mean",
-             "window": None}
-        )
+    plants = ((spec.trend_weight, d0, "slope", c0),
+              (spec.threshold_weight, d1, "frac_above", c1),
+              (spec.missing_weight, d2, "indicator_mean", None))
+    signals = [{"variable": variable_name(d), "summary": summary, "window": window}
+               for weight, d, summary, window in plants if weight != 0]
     descriptor = {
         "spec": asdict(spec),
         "signals": signals,

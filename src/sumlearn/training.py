@@ -146,8 +146,7 @@ def train(batch_train, batch_val, config):
                 owner = block_owner(name, summary_params, model_params)
                 lr = (config.learning_rate if owner is model_params
                       else config.summary_learning_rate)
-                value = adam_step(getattr(owner, name), getattr(grads, "d_" + name),
-                                  states[name], lr)
+                value = adam_step(getattr(owner, name), grads[name], states[name], lr)
                 if name == "C":
                     value = np.clip(value, 0.0, T)
                 _check_finite(name, value, epoch)

@@ -202,7 +202,7 @@ class TestExitCodes:
 
         def nan_window_grads(*args, **kwargs):
             loss, grads = real(*args, **kwargs)
-            grads.d_C[:] = np.nan
+            grads["C"][:] = np.nan
             return loss, grads
 
         monkeypatch.setattr(training, "loss_and_gradients", nan_window_grads)
@@ -558,11 +558,15 @@ class TestTypedFailures:
          "variable_names repeats the name 'var0'"),
         (lambda doc: _rename(doc, "static_names", "static1", "static2"),
          "static_names repeats the name 'static2'"),
+        # every writer copies config.tau_temp into the document's tau_temp
+        (lambda doc: doc.__setitem__("tau_temp", 5.0),
+         "tau_temp = 5.0 differs from config.tau_temp = 0.1"),
     ], ids=["short_C", "ragged_C", "short_phi_plus", "long_phi_minus",
             "unknown_config_key", "missing_config_key", "unknown_variable_feature",
             "unknown_summary_feature", "non_integer_hour_feature", "nan_coeff",
             "nan_C", "inf_mean", "zero_std", "negative_static_std", "T_1e15",
-            "T_1e18", "T_1e20", "repeated_variable", "repeated_static"])
+            "T_1e18", "T_1e20", "repeated_variable", "repeated_static",
+            "tau_temp_not_config"])
     def test_malformed_checkpoint_is_2(self, cohort_dir, trained_dir, tmp_path,
                                        capsys, edit, needle):
         doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())
@@ -571,6 +575,43 @@ class TestTypedFailures:
         path.write_text(json.dumps(doc))
         code = main(["eval", "--checkpoint", str(path), "--cohort-dir", str(cohort_dir)])
         assert_fails(capsys, code, 2, needle)
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_t_is_1(self, cohort_dir, tmp_path, capsys, value):
+        code = main(["train", "--cohort-dir", str(cohort_dir),
+                     "--out", str(tmp_path / "run"), "--t", value])
+        assert_fails(capsys, code, 1, "usage error: --t must be >= 1")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, existing", [
+        ("eval", "directory"), ("report", "directory"), ("ablate", "directory"),
+        ("train", "file"), ("synth", "file"),
+    ])
+    def test_out_that_cannot_be_written_is_1(self, cohort_dir, trained_dir,
+                                             tmp_path, capsys, monkeypatch,
+                                             command, existing):
+        import sumlearn.training as training
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("train fitted a seed before making --out")
+
+        monkeypatch.setattr(training, "train", no_fit)
+        out = tmp_path / "out"
+        if existing == "directory":
+            out.mkdir()
+        else:
+            out.write_text("")
+        ckpt = str(trained_dir / "seed_0" / "model.ckpt")
+        args = {
+            "eval": ["--checkpoint", ckpt, "--cohort-dir", str(cohort_dir)],
+            "report": ["--checkpoint", ckpt],
+            "ablate": ["--checkpoint", ckpt, "--cohort-dir", str(cohort_dir),
+                       "--n-list", "1,5"],
+            "train": ["--cohort-dir", str(cohort_dir), "--t", "12"],
+            "synth": ["--n", "50"],
+        }[command]
+        code = main([command, *args, "--out", str(out)])
+        assert_fails(capsys, code, 1, f"usage error: cannot write {out}: ")
 
     def test_train_t_too_large_for_the_series_array_is_2(self, cohort_dir,
                                                           tmp_path, capsys):

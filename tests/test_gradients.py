@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sumlearn.errors import NumericalError
-from sumlearn.gradients import finite_difference_check, loss_and_gradients
+from sumlearn.gradients import BLOCKS, finite_difference_check, loss_and_gradients
 from sumlearn.model import ModelParams, TrainConfig, feature_names_for, total_loss
 from sumlearn.summaries import (
     BLOCK_BYTES,
@@ -94,31 +94,32 @@ class TestGradientStructure:
         batch, sp, mp, config = make_setup(rng)
         loss, grads = loss_and_gradients(sp, mp, batch, config)
         assert np.isfinite(loss)
-        assert grads.d_coeffs.shape == mp.coeffs.shape
-        assert np.ndim(grads.d_bias) == 0
-        assert grads.d_C.shape == sp.C.shape
-        assert grads.d_phi_plus.shape == sp.phi_plus.shape
-        assert grads.d_phi_minus.shape == sp.phi_minus.shape
+        assert list(grads) == list(BLOCKS)
+        assert grads["coeffs"].shape == mp.coeffs.shape
+        assert np.ndim(grads["bias"]) == 0
+        assert grads["C"].shape == sp.C.shape
+        assert grads["phi_plus"].shape == sp.phi_plus.shape
+        assert grads["phi_minus"].shape == sp.phi_minus.shape
 
     def test_non_differentiable_summaries_have_zero_window_grad(self, rng):
         batch, sp, mp, config = make_setup(rng)
         _, grads = loss_and_gradients(sp, mp, batch, config)
-        assert np.all(grads.d_C[:, FIRST_MEASURED] == 0)
-        assert np.all(grads.d_C[:, LAST_MEASURED] == 0)
+        assert np.all(grads["C"][:, FIRST_MEASURED] == 0)
+        assert np.all(grads["C"][:, LAST_MEASURED] == 0)
 
     def test_hard_mode_freezes_summary_params(self, rng):
         batch, sp, mp, config = make_setup(rng, mode="hard")
         _, grads = loss_and_gradients(sp, mp, batch, config)
-        assert np.all(grads.d_C == 0)
-        assert np.all(grads.d_phi_plus == 0)
-        assert np.all(grads.d_phi_minus == 0)
+        assert np.all(grads["C"] == 0)
+        assert np.all(grads["phi_plus"] == 0)
+        assert np.all(grads["phi_minus"] == 0)
 
     def test_zero_coefficients_give_zero_window_grad(self, rng):
         batch, sp, mp, config = make_setup(rng)
         mp.coeffs[:] = 0.0
         _, grads = loss_and_gradients(sp, mp, batch, config)
-        assert np.all(grads.d_C == 0)
-        assert np.all(grads.d_phi_plus == 0)
+        assert np.all(grads["C"] == 0)
+        assert np.all(grads["phi_plus"] == 0)
 
     def test_non_finite_loss_names_the_design_column(self, rng):
         batch, sp, mp, config = make_setup(rng)
@@ -141,7 +142,7 @@ class TestScalarConvergence:
         batch, sp, mp, config = make_setup(rng)
         d, i = 0, 1  # a variance cell, the hardest case
         _, grads = loss_and_gradients(sp, mp, batch, config)
-        analytic = grads.d_C[d, i]
+        analytic = grads["C"][d, i]
         errors = []
         for h in (1e-4, 1e-5):
             up, down = sp.copy(), sp.copy()

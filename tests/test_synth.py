@@ -11,6 +11,15 @@ def cohort():
     return spec, *generate(spec)
 
 
+# (variable, summary, window) of the default spec's planted signals, in order
+PLANTED = [("var0", "slope", 8), ("var1", "frac_above", 6),
+           ("var2", "indicator_mean", None)]
+
+
+def planted(desc):
+    return [(s["variable"], s["summary"], s["window"]) for s in desc["signals"]]
+
+
 def point_biserial(x, y):
     return float(np.corrcoef(x, y)[0, 1])
 
@@ -70,11 +79,13 @@ class TestGenerate:
 
     def test_descriptor_names_planted_signals(self, cohort):
         spec, batch, desc = cohort
-        pairs = {(s["variable"], s["summary"]) for s in desc["signals"]}
-        assert ("var0", "slope") in pairs
-        assert ("var1", "frac_above") in pairs
-        triples = [(s["variable"], s["summary"], s["window"]) for s in desc["signals"]]
-        assert ("var0", "slope", spec.trend_window) in triples
+        assert planted(desc) == PLANTED
+
+    @pytest.mark.parametrize("dropped, weight", enumerate(
+        ["trend_weight", "threshold_weight", "missing_weight"]))
+    def test_zero_weight_drops_its_plant(self, dropped, weight):
+        _, desc = generate(SynthSpec(n_examples=50, seed=1, **{weight: 0.0}))
+        assert planted(desc) == PLANTED[:dropped] + PLANTED[dropped + 1:]
 
     def test_null_spec_has_no_signal(self):
         spec = SynthSpec(

@@ -83,7 +83,9 @@ class KeyFeatureRow:
 
 
 def _window_from_C(c, T):
-    start = min(T, max(1, T - int(round(c)) + 1))
+    """(first hour, T) of the hard window 1(t > T - C), in the kernel's
+    arithmetic: the first hour is T - ceil(C) + 1, clamped to [1, T]."""
+    start = min(T, max(1, int(np.floor(T - c)) + 1))
     return start, T
 
 

@@ -74,6 +74,13 @@ def loss_and_gradients(summary_params, model_params, batch, config, weights=None
     return loss, dict(zip(BLOCKS, (d_coeffs, r.sum(), *d_summaries)))
 
 
+# Criterion 1: central differences of step FD_STEP on FD_COEFF_SAMPLES sampled
+# coefficients agree with the analytic gradient below FD_TOLERANCE.
+FD_STEP = 1e-5
+FD_TOLERANCE = 1e-4
+FD_COEFF_SAMPLES = 32
+
+
 @dataclass
 class FDEntry:
     block: str
@@ -89,25 +96,18 @@ class FDReport:
     worst: FDEntry
     entries: list
 
-    def passed(self, tolerance=1e-4):
-        return self.max_rel_error < tolerance
+    def passed(self):
+        return self.max_rel_error < FD_TOLERANCE
 
 
-def finite_difference_check(
-    summary_params, model_params, batch, config, eps_fd=1e-5,
-    n_coeff_samples=32, seed=0, weights=None,
-):
+def finite_difference_check(summary_params, model_params, batch, config, seed=0):
     """Compare analytic gradients against central differences.
 
-    Covers n_coeff_samples random coefficients and every entry of the
-    other blocks, in BLOCKS order.  Relative error uses max(1e-8, |a| + |n|)
-    scaling.
+    Covers FD_COEFF_SAMPLES random coefficients and every entry of the
+    other blocks, in BLOCKS order, scored with the batch's class weights.
+    Relative error uses max(1e-8, |a| + |n|) scaling.
     """
-    if eps_fd <= 0:
-        raise ValueError("eps_fd must be positive")
-    loss, grads = loss_and_gradients(
-        summary_params, model_params, batch, config, weights=weights
-    )
+    grads = loss_and_gradients(summary_params, model_params, batch, config)[1]
 
     def loss_at(name, index, delta):
         sp, mp = summary_params.copy(), model_params.copy()
@@ -115,11 +115,11 @@ def finite_difference_check(
         value = np.array(getattr(owner, name), dtype=float)
         value[index] += delta
         setattr(owner, name, value)
-        return total_loss(sp, mp, batch, config, weights=weights)
+        return total_loss(sp, mp, batch, config)
 
     rng = np.random.default_rng(seed)
     F = model_params.n_features
-    picks = rng.choice(F, size=min(n_coeff_samples, F), replace=False)
+    picks = rng.choice(F, size=min(FD_COEFF_SAMPLES, F), replace=False)
     entries = []
     for name in BLOCKS:
         grad = np.asarray(grads[name])
@@ -127,8 +127,8 @@ def finite_difference_check(
                    else np.ndindex(grad.shape))
         for index in indices:
             analytic = float(grad[index])
-            up, down = loss_at(name, index, eps_fd), loss_at(name, index, -eps_fd)
-            numeric = float((up - down) / (2.0 * eps_fd))
+            up, down = loss_at(name, index, FD_STEP), loss_at(name, index, -FD_STEP)
+            numeric = float((up - down) / (2.0 * FD_STEP))
             rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             entries.append(FDEntry(name, index, analytic, numeric, rel))
 

@@ -23,7 +23,13 @@ from sumlearn.model import (
     feature_names_for,
     predict,
 )
-from sumlearn.summaries import FRAC_ABOVE, FRAC_BELOW, N_SUMMARIES, SummaryParams
+from sumlearn.summaries import (
+    FRAC_ABOVE,
+    FRAC_BELOW,
+    N_SUMMARIES,
+    SummaryParams,
+    window_weights,
+)
 
 from conftest import full_window_params, random_batch
 
@@ -132,6 +138,20 @@ class TestReport:
         assert _window_from_C(24.0, 24) == (1, 24)
         assert _window_from_C(8.0, 24) == (17, 24)
         assert _window_from_C(0.4, 24) == (24, 24)
+        # the hard window 1(t > 24 - C) of each starts at hour 24 - ceil(C) + 1
+        assert _window_from_C(8.4, 24) == (16, 24)
+        assert _window_from_C(8.5, 24) == (16, 24)
+        assert _window_from_C(8.6, 24) == (16, 24)
+        assert _window_from_C(9.5, 24) == (15, 24)
+
+    @pytest.mark.parametrize("T", [1, 7, 24, 48])
+    def test_window_start_is_the_hard_windows_first_hour(self, rng, T):
+        sp = full_window_params(3, t=T)
+        sp.C = T * (1.0 - rng.random(sp.C.shape))  # uniform in (0, T]
+        hard = window_weights(sp, T, "hard")
+        for d, i in np.ndindex(sp.C.shape):
+            first = int(np.flatnonzero(hard[d, i] == 1.0)[0]) + 1
+            assert _window_from_C(sp.C[d, i], T) == (first, T)
 
     def test_threshold_denormalized(self, rng):
         batch = random_batch(rng, n=20)

@@ -242,8 +242,8 @@ def cmd_gradcheck(args):
     N, D, T = 8, 3, 12
     from .data import ClinicalBatch
     from .summaries import N_SUMMARIES, SummaryParams
-    M = (rng.random((N, D, T)) < 0.7).astype(float)
-    M[:, :, -2:] = 1.0  # keep every soft window populated: FD cannot
+    M = rng.random((N, D, T)) < 0.7
+    M[:, :, -2:] = True  # keep every soft window populated: FD cannot
     X = rng.standard_normal((N, D, T))  # resolve eps-floor-dominated slopes
     S = rng.standard_normal((N, 2))
     y = np.array([0, 1] * (N // 2), dtype=float)

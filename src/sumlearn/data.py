@@ -3,8 +3,8 @@
 A cohort moves through two representations:
 
 * ``RawCohort`` - values straight from ingestion, NaN where unmeasured.
-* ``ClinicalBatch`` - fully imputed ``X`` plus measurement mask ``M``,
-  static matrix ``S`` and labels ``y``; immutable after construction.
+* ``ClinicalBatch`` - fully imputed ``X`` plus boolean measurement mask
+  ``M``, static matrix ``S`` and labels ``y``; immutable after construction.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ClinicalBatch:
     """Masked multivariate time series with static features and labels."""
 
     X: np.ndarray  # (N, D, T)
-    M: np.ndarray  # (N, D, T), binary
+    M: np.ndarray  # (N, D, T), bool: one byte per cell
     S: np.ndarray  # (N, P)
     y: np.ndarray  # (N,), binary
     patient_ids: list
@@ -75,6 +75,10 @@ class ClinicalBatch:
     def __post_init__(self):
         if self.X.shape != self.M.shape:
             raise DataError("X and M must have identical shapes")
+        if self.M.dtype != bool:  # a 0/1 mask of another dtype, converted once
+            if not ((self.M == 0) | (self.M == 1)).all():
+                raise DataError("M must hold only 0 and 1")
+            self.M = self.M.astype(bool)
         if self.S.shape[0] != self.X.shape[0] or self.y.shape[0] != self.X.shape[0]:
             raise DataError("S and y must have one row per example")
 
@@ -465,7 +469,7 @@ def build_batch(raw, population_median=None):
     X = np.take_along_axis(raw.values, latest, axis=2)
     np.copyto(X, population_median[:, None], where=latest < 0)
     return ClinicalBatch(
-        X, M.astype(float), raw.S.copy(), raw.y.copy(), list(raw.patient_ids),
+        X, M, raw.S.copy(), raw.y.copy(), list(raw.patient_ids),
         raw.variable_names, raw.static_names,
     )
 
@@ -484,7 +488,7 @@ def fit_normalization(batch):
     median = np.zeros(D)
     warnings = []
     for d in range(D):
-        vals = batch.X[:, d, :][batch.M[:, d, :] == 1]
+        vals = batch.X[:, d, :][batch.M[:, d, :]]
         if vals.size == 0:
             warnings.append(
                 f"variable {batch.variable_names[d]!r} never measured in train"

@@ -84,7 +84,10 @@ class KeyFeatureRow:
 
 def _window_from_C(c, T):
     """(first hour, T) of the hard window 1(t > T - C), in the kernel's
-    arithmetic: the first hour is T - ceil(C) + 1, clamped to [1, T]."""
+    arithmetic: the first hour is T - ceil(C) + 1, clamped to [1, T].
+    (None, None) when C <= 0 leaves the window without an hour."""
+    if c <= 0:
+        return None, None
     start = min(T, max(1, int(np.floor(T - c)) + 1))
     return start, T
 

@@ -36,7 +36,8 @@ gate ``s(0) = 1/2``, the tau -> 0 limit of the sigmoid.  Hours run
 counting hours back from ``T`` instead moves ``slope_stderr`` of
 near-empty windows (``C < 1``) by up to 8e7 of its 1e8.
 
-Time is the trailing axis, hour ``t`` at index ``t - 1``; ``M`` is binary.
+Time is the trailing axis, hour ``t`` at index ``t - 1``; ``M`` is binary:
+bool, or 0/1 floats.
 """
 
 from __future__ import annotations
@@ -231,13 +232,15 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         for start in range(group.start, group.stop, rows_per_block):
             rows = slice(start, min(start + rows_per_block, group.stop))
             part = slice(rows.start - group.start, rows.stop - group.start)
-            Xb, Mb = X[rows], M[rows]
+            Xb = X[rows]
             R = Xb.shape[0]
             F, P, Q = (buf[: buf.size // rows_per_block * R].reshape(-1, R, D, T)
                        for buf in buffers)
 
-            # first pass: every (feature, column) time sum in one matmul
-            F[F_M] = Mb
+            # first pass: every (feature, column) time sum in one matmul; the
+            # passes read the block's mask from its float slab, whatever M's dtype
+            Mb = F[F_M]
+            Mb[...] = M[rows]
             np.multiply(Mb, Xb, out=F[F_MX])
             gates = F[F_ABOVE : F_BELOW + 1]
             np.subtract(Xb, phi_plus, out=gates[0])
@@ -308,7 +311,7 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
         Hb = H[group]
         dHb = dH_dC[group] if tangent else None
         # first and last measured hours: constants of the mask
-        observed = M[group] > 0
+        observed = M[group].astype(bool, copy=False)
         first_index = observed.argmax(-1)
         measured = np.take_along_axis(observed, first_index[..., None], -1)[..., 0]
         Hb[..., FIRST_MEASURED] = np.where(measured, (first_index + 1) / T, 1.0)
@@ -403,7 +406,6 @@ def compute_summary_tensor(X, M, params, mode="relaxed", tangent=False):
     tangents: returns (H, dH/dC (N, D, I), dH/dphi (2, N, D)).
     """
     X = np.asarray(X, dtype=float)
-    M = np.asarray(M, dtype=float)
     W = window_weights(params, X.shape[-1], mode)
     H, dH_dC, dH_dphi = summary_blocks(
         X, M, W, params.phi_plus, params.phi_minus, params.tau_temp,

@@ -180,7 +180,7 @@ def write_cohort(batch, out_dir):
     with open(series_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SERIES_HEADER)
-        n, d, t = np.nonzero(batch.M == 1)  # in (patient, variable, hour) order
+        n, d, t = np.nonzero(batch.M)  # in (patient, variable, hour) order
         writer.writerows(zip(
             [batch.patient_ids[i] for i in n.tolist()],
             [batch.variable_names[j] for j in d.tolist()],

@@ -3,6 +3,7 @@ import csv
 import io
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -496,6 +497,40 @@ class TestImpute:
         batch = build_batch(raw)
         assert np.isfinite(batch.X).all()
         assert set(np.unique(batch.M)) <= {0.0, 1.0}
+
+
+class TestMaskFormat:
+    """The mask is bool from build_batch on: one byte per cell."""
+
+    def test_every_batch_step_keeps_a_bool_mask(self, tmp_path):
+        paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)
+        raw = ingest_csv(*paths, T=4)
+        batch = build_batch(raw)
+        assert batch.M.dtype == bool
+        assert np.array_equal(batch.M, ~np.isnan(raw.values))
+        normalized = apply_normalization(batch, fit_normalization(batch))
+        parts = split_by_patient(normalized, 0.5, seed=0)
+        for b in (normalized, *parts, batch.take([1, 0])):
+            assert b.M.dtype == bool
+        assert np.array_equal(batch.take([1, 0]).M, batch.M[[1, 0]])
+
+    def test_a_bool_mask_is_kept_without_a_copy(self, rng):
+        batch = random_batch(rng)
+        assert replace(batch, X=batch.X + 1.0).M is batch.M
+
+    @pytest.mark.parametrize("dtype", [float, np.int8, np.int64])
+    def test_a_zero_one_mask_is_converted_once(self, rng, dtype):
+        M = (rng.random((4, 2, 3)) < 0.5).astype(dtype)
+        batch = replace(random_batch(rng, n=4, d=2, t=3), M=M)
+        assert batch.M.dtype == bool
+        assert np.array_equal(batch.M, M == 1)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_a_mask_that_is_not_zero_one_is_a_data_error(self, rng, bad):
+        M = np.ones((4, 2, 3))
+        M[1, 0, 2] = bad
+        with pytest.raises(DataError, match="M must hold only 0 and 1"):
+            replace(random_batch(rng, n=4, d=2, t=3), M=M)
 
 
 class TestNormalization:

@@ -153,6 +153,33 @@ class TestReport:
             first = int(np.flatnonzero(hard[d, i] == 1.0)[0]) + 1
             assert _window_from_C(sp.C[d, i], T) == (first, T)
 
+    @pytest.mark.parametrize("T", [1, 12, 48])
+    def test_empty_window_reports_no_hours(self, T):
+        # training clips C into [0, T]; at C = 0 the window 1(t > T) is empty
+        sp = full_window_params(3, t=T)
+        sp.C[:] = 0.0
+        assert window_weights(sp, T, "hard").sum() == 0.0
+        assert _window_from_C(0.0, T) == (None, None)
+
+    def test_empty_window_row_has_blank_hours(self, rng):
+        batch = random_batch(rng, n=20)
+        stats = fit_normalization(batch)
+        sp = full_window_params(3)
+        sp.C[1, FRAC_ABOVE] = 0.0
+        names = feature_names_for(
+            batch.variable_names, batch.static_names, batch.T, "relaxed"
+        )
+        coeffs = np.zeros(len(names))
+        coeffs[names.index("var1:frac_above")] = 3.0
+        rows = key_feature_report(
+            sp, ModelParams(coeffs, 0.0, names), stats, batch.variable_names,
+            batch.static_names, batch.T, "relaxed", top_k=1
+        )
+        assert (rows[0].window_start, rows[0].window_end) == (None, None)
+        header, line = report_tsv(rows).strip("\n").split("\n")
+        cells = dict(zip(header.split("\t"), line.split("\t")))
+        assert cells["window_start"] == cells["window_end"] == ""
+
     def test_threshold_denormalized(self, rng):
         batch = random_batch(rng, n=20)
         stats = fit_normalization(batch)

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,23 @@ class TestPredict:
         config = TrainConfig(mode=mode, alpha=0.1)
         assert total_loss(sp, mp, batch, config) == objective(
             z, batch.y, class_weights(batch.y), mp.coeffs, config)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bool_and_float_masks_give_the_same_forward(self, rng, mode):
+        batch = random_batch(rng, n=300, d=12, t=48)
+        assert batch.M.dtype == bool
+        as_floats = replace(batch)
+        as_floats.M = batch.M.astype(float)  # past the bool conversion
+        sp = SummaryParams(rng.uniform(0, batch.T, (12, 12)), np.ones(12),
+                           -np.ones(12), 0.1)
+        names = feature_names_for(batch.variable_names, batch.static_names,
+                                  batch.T, mode)
+        mp = ModelParams(rng.standard_normal(len(names)), 0.2, names)
+        z, design, _ = forward(batch, sp, mp, mode)
+        z_float, design_float, _ = forward(as_floats, sp, mp, mode)
+        assert design.dtype == float
+        assert np.array_equal(design, design_float)
+        assert np.array_equal(z, z_float)
 
 
 class TestCheckpoint:

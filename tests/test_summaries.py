@@ -603,3 +603,15 @@ def test_working_set_does_not_grow_with_the_batch(monkeypatch, tangent):
     # one group per call keeps every row's sums: the measure sees that
     monkeypatch.setattr(sumlearn.summaries, "GROUP_BLOCKS", len(four[0]))
     assert _working_set(four) > _working_set(one) + WORKING_SET_SLACK
+
+
+@pytest.mark.parametrize("tangent", [True, False], ids=["relaxed_tangent", "hard"])
+def test_bool_and_float_masks_give_the_same_bits(tangent):
+    """The kernel reads the mask from its float slab: a bool mask and the
+    same mask as 0/1 floats give the same bits, over several row blocks and
+    groups of blocks."""
+    X, M, *rest = _group_batch(tangent, n_groups=2, extra=5)
+    from_float = sumlearn.summaries.summary_blocks(X, M, *rest)
+    from_bool = sumlearn.summaries.summary_blocks(X, M.astype(bool), *rest)
+    for a, b in zip(from_bool, from_float):
+        assert (a is None and b is None) or np.array_equal(a, b)

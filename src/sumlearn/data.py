@@ -10,6 +10,7 @@ A cohort moves through two representations:
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -28,9 +29,16 @@ STATIC_HEADER = ["patient_id"]
 LABELS_HEADER = ["patient_id", "label"]
 _SERIES_DTYPE = np.dtype([("patient", object), ("variable", object),
                           ("hour", np.int64), ("value", np.float64)])
-# Separators that numpy's number parser skips as whitespace and Python's
-# int() and float() reject.
-_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# timeseries.csv is parsed in chunks of whole lines of at least this many
+# characters (256 KiB of ASCII text); a chunk's parse holds about 9 bytes
+# per character at once.
+_CHUNK_CHARS = 1 << 18
+
+
+def _numpy_only_space(text):
+    """Whether ``text`` holds a separator that numpy's number parser skips
+    as whitespace and Python's int() and float() reject."""
+    return any(space in text for space in "\x1c\x1d\x1e\x1f")
 
 
 def _take(cohort, indices):
@@ -180,17 +188,30 @@ class _Series:
     value: np.ndarray
 
 
+def _codes(strings, code_of):
+    """The code of each string in ``code_of``, which first gives each string
+    it does not hold the next free code."""
+    for s in dict.fromkeys(strings):
+        code_of.setdefault(s, len(code_of))
+    return np.fromiter(map(code_of.__getitem__, strings), dtype=np.intp,
+                       count=len(strings))
+
+
+def _names(code_of, codes):
+    """(sorted distinct stripped strings of ``code_of``, ``codes`` mapped to
+    the index of their string's stripped form among them); each distinct raw
+    string is stripped once."""
+    stripped = [s.strip() for s in code_of]
+    names = sorted(set(stripped))
+    index = {name: k for k, name in enumerate(names)}
+    return names, np.array([index[s] for s in stripped], dtype=np.intp)[codes]
+
+
 def _factorize(strings):
     """(sorted distinct stripped strings, the index of each string's stripped
-    form among them); each distinct raw string is stripped once."""
-    code_of = dict.fromkeys(strings)
-    names = sorted({s.strip() for s in code_of})
-    index = {name: k for k, name in enumerate(names)}
-    for s in code_of:
-        code_of[s] = index[s.strip()]
-    codes = np.fromiter(map(code_of.__getitem__, strings), dtype=np.intp,
-                        count=len(strings))
-    return names, codes
+    form among them)."""
+    code_of = {}
+    return _names(code_of, _codes(strings, code_of))
 
 
 def _series(patients, variables, hours, values):
@@ -199,9 +220,36 @@ def _series(patients, variables, hours, values):
                    np.asarray(values, dtype=float))
 
 
+def _joined(parts):
+    """The concatenation of ``parts``, which are released as it is made."""
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
+
+
+def _parse_chunk(text, T, code_of):
+    """(patient codes, variable codes, hours, values) of the rows in ``text``,
+    whole lines of timeseries.csv after its header, each string coded in
+    ``code_of``; None for a separator numpy alone skips, a non-finite value
+    or an hour outside [1, T].  numpy's parse errors propagate."""
+    if _numpy_only_space(text):
+        return None
+    table = np.loadtxt(
+        io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
+        dtype=_SERIES_DTYPE, comments=None, quotechar='"', ndmin=1,
+    )
+    hour, value = table["hour"], table["value"]
+    if not (np.isfinite(value).all() and 1 <= hour.min() and int(hour.max()) <= T):
+        return None
+    return (_codes(table["patient"].tolist(), code_of[0]),
+            _codes(table["variable"].tolist(), code_of[1]),
+            hour.copy(), value.copy())
+
+
 def _read_series_columns(path, T, fixed):
-    """The rows of ``timeseries.csv`` read in one pass by numpy's C parser,
-    or None when the row reader might read or judge any of them otherwise.
+    """The rows of ``timeseries.csv`` read by numpy's C parser in chunks of
+    whole lines, or None when the row reader might read or judge any of them
+    otherwise.
 
     That is: an unreadable, empty or non-UTF-8 file, a header that is not
     the expected one or holds a quote or a carriage return, a byte numpy
@@ -209,51 +257,67 @@ def _read_series_columns(path, T, fixed):
     (Python's parser also takes ``1_0`` and non-ASCII digits), and any row
     the row reader rejects: a non-finite value, an hour outside [1, T], an
     unknown variable or a repeated (patient, variable, hour).
+
+    A chunk is at least ``_CHUNK_CHARS`` characters, split into lines as
+    numpy splits a file (universal newlines).  It keeps only its rows' codes,
+    hours and values, so the strings numpy makes for its cells die with it.
+    A chunk that holds a quote takes the rest of the file, so every chunk
+    starts outside any quoted field.
     """
+    code_of = ({}, {})  # provisional code of each raw patient, variable string
+    columns = ([], [], [], [])  # per chunk: patient, variable codes, hour, value
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    end = data.find(b"\n")
-    header = (data if end < 0 else data[:end]).removesuffix(b"\r")
-    if (b'"' in header or b"\r" in header
-            or any(space in data for space in _NUMPY_ONLY_SPACE)):
-        return None
-    del data
-    try:
-        cells = header.decode("utf-8").split(",")
-    except UnicodeDecodeError:
-        return None
-    if [c.strip() for c in cells][:len(SERIES_HEADER)] != SERIES_HEADER:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # an empty file, and before numpy 2 an hour such as "1.0", warn
+        with open(path, "rb") as raw, warnings.catch_warnings():
+            # before numpy 2 an hour such as "1.0" warns
             warnings.simplefilter("error")
-            table = np.loadtxt(
-                path, delimiter=",", skiprows=1, usecols=(0, 1, 2, 3),
-                dtype=_SERIES_DTYPE, comments=None, quotechar='"',
-                encoding="utf-8", ndmin=1,
-            )
+            header = raw.readline().removesuffix(b"\n").removesuffix(b"\r")
+            header = header.decode("utf-8")
+            if ('"' in header or "\r" in header or _numpy_only_space(header)
+                    or [c.strip() for c in header.split(",")][:len(SERIES_HEADER)]
+                    != SERIES_HEADER):
+                return None
+            fh = io.TextIOWrapper(raw, encoding="utf-8")
+            while text := fh.read(_CHUNK_CHARS) + fh.readline():
+                if '"' in text:
+                    text += fh.read()
+                if text.count("\n") == len(text):  # blank lines, which numpy skips
+                    continue
+                parts = _parse_chunk(text, T, code_of)
+                if parts is None:
+                    return None
+                for column, part in zip(columns, parts):
+                    column.append(part)
     except (OSError, ValueError, Warning):
         return None
-    hour, value = table["hour"], table["value"]
-    if not (len(table) and np.isfinite(value).all()
-            and 1 <= hour.min() and int(hour.max()) <= T):
+    if not columns[0]:
         return None
-    series = _series(table["patient"].tolist(), table["variable"].tolist(),
-                     hour, value)
+    p, v, hour, value = map(_joined, columns)
+    patients, p = _names(code_of[0], p)  # rebinding frees the provisional codes
+    variables, v = _names(code_of[1], v)
+    series = _Series(patients, p, variables, v, hour, value)
     if fixed is not None and not set(series.variables) <= set(fixed):
         return None
     # the duplicate key below must not wrap around in int64
     if len(series.patients) * len(series.variables) * T > np.iinfo(np.int64).max:
         return None
-    key = (series.p * len(series.variables) + series.v) * T + (series.hour - 1)
+    key = _flat_cells(series.p.copy(), series.v, series.hour,
+                      len(series.variables), T)
     key.sort()
     if (key[1:] == key[:-1]).any():
         return None
     return series
+
+
+def _flat_cells(rows, variables, hours, D, T):
+    """The flat index ``(rows * D + variables) * T + hours - 1`` of each
+    (row, variable, hour) cell of an (N, D, T) array, computed in place in
+    ``rows``, so that it takes no array beside it."""
+    rows *= D
+    rows += variables
+    rows *= T
+    rows += hours
+    rows -= 1
+    return rows
 
 
 def _read_series_rows(path, T, fixed):
@@ -384,12 +448,13 @@ def ingest_csv(
     pid_index = {p: n for n, p in enumerate(patient_ids)}
 
     # series rows for unlabelled patients are ignored
-    row = np.array([pid_index.get(p, -1) for p in series.patients],
-                   dtype=np.intp)[series.p]
-    var = np.array([var_index[v] for v in series.variables], dtype=np.intp)[series.v]
-    kept = row >= 0
+    row_of = np.array([pid_index.get(p, -1) for p in series.patients],
+                      dtype=np.intp)
+    var_of = np.array([var_index[v] for v in series.variables], dtype=np.intp)
     values = series_array(N, D, T)
-    values[row[kept], var[kept], series.hour[kept] - 1] = series.value[kept]
+    cell = _flat_cells(row_of[series.p], var_of[series.v], series.hour, D, T)
+    kept = slice(None) if (row_of >= 0).all() else (row_of >= 0)[series.p]
+    values.reshape(-1)[cell[kept]] = series.value[kept]
 
     S = np.empty((N, len(static_names)))
     for pid, n in pid_index.items():

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sumlearn.data
+import sumlearn.synth
 from sumlearn.cli import main
 from sumlearn.data import (
     NormalizationStats,
     apply_normalization,
     build_batch,
     class_weights,
+    cohort_paths,
     compute_population_median,
     fit_normalization,
     ingest_csv,
@@ -263,6 +266,24 @@ def ingest_outcome(paths, T, variables=None, columnar=True):
             raw.static_names)
 
 
+def series_bits(series):
+    """A _Series as comparable values (each array's dtype and bytes), or None."""
+    if series is None:
+        return None
+    return (series.patients, series.variables,
+            [(a.dtype.str, a.tobytes())
+             for a in (series.p, series.v, series.hour, series.value)])
+
+
+@contextlib.contextmanager
+def chunks_of(chars):
+    """The columnar reader parses chunks of lines of at least ``chars``
+    characters; at 0 each line is a chunk of its own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sumlearn.data, "_CHUNK_CHARS", chars)
+        yield
+
+
 def _patients(*ids):
     return {p: str(k % 2) for k, p in enumerate(ids)}, {p: "50" for p in ids}
 
@@ -279,6 +300,9 @@ EDGE_CASES = [
      _patients('p"1', "p2"), None, True),
     ("hash", SERIES_HEADER + "p#1,hr,1,80\np2,hr,1,70\n",
      _patients("p#1", "p2"), None, True),
+    ("line_breaks_of_str_splitlines", SERIES_HEADER
+     + "p\x0b1,hr,1,80\np\x0c1,hr,1,8\np\x852,hr,1,70\np\u20282,sbp,2,5\n",
+     _patients("p\x0b1", "p\x0c1", "p\x852", "p\u20282"), None, True),
     ("crlf_padded_ids", " patient_id , variable,hour,value\r\n"
      " p1 , hr ,1,80\r\np2,hr , 2 , 70 \r\n", P12, None, True),
     ("extra_columns", SERIES_HEADER + "p1,hr,1,80,note\np2,sbp,3,70,a,b\n",
@@ -309,19 +333,66 @@ EDGE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("series, patients, variables, columnar",
-                         [case[1:] for case in EDGE_CASES],
-                         ids=[case[0] for case in EDGE_CASES])
-def test_columnar_reader_agrees_with_row_reader(tmp_path, series, patients,
-                                                variables, columnar):
-    paths = write_files(tmp_path, cohort_files(series, *patients))
+EDGE_PARAMETERS = pytest.mark.parametrize(
+    "series, patients, variables, columnar", [case[1:] for case in EDGE_CASES],
+    ids=[case[0] for case in EDGE_CASES])
+
+
+def columnar_agrees_with_rows(directory, series, patients, variables, columnar):
+    """The columnar reader reads the file exactly when ``columnar``, and
+    then as the row reader does; ingest_csv gives the same either way."""
+    paths = write_files(directory, cohort_files(series, *patients))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         read = sumlearn.data._read_series_columns(paths[0], EDGE_T, variables)
     assert not caught
     assert (read is not None) == columnar
+    if read is not None:
+        assert series_bits(read) == series_bits(
+            sumlearn.data._read_series_rows(paths[0], EDGE_T, variables))
     assert (ingest_outcome(paths, EDGE_T, variables)
             == ingest_outcome(paths, EDGE_T, variables, columnar=False))
+
+
+@EDGE_PARAMETERS
+def test_columnar_reader_agrees_with_row_reader(tmp_path, series, patients,
+                                                variables, columnar):
+    columnar_agrees_with_rows(tmp_path, series, patients, variables, columnar)
+
+
+# No file here fills one real chunk; in chunks of one line each, a boundary
+# falls between every two lines.
+@EDGE_PARAMETERS
+def test_columnar_reader_agrees_in_chunks_of_one_line(tmp_path, series, patients,
+                                                      variables, columnar):
+    with chunks_of(0):
+        columnar_agrees_with_rows(tmp_path, series, patients, variables, columnar)
+
+
+# id, timeseries.csv, read by the columnar reader.  Each file is read at every
+# chunk size from 0 to its length, so that a chunk boundary falls at each
+# place: before and after a quoted newline, inside a CRLF pair, between blank
+# lines and between the two rows of a repeated (patient, variable, hour).
+BOUNDARY_CASES = [
+    ("quoted_newline", BASIC + '"p\n1",hr,1,80\np2,hr,2,70\n', True),
+    ("crlf", SERIES_HEADER + "p1,hr,1,80\r\np2,sbp,2,70\r\np1,sbp,3,5\r\n", True),
+    ("lone_cr", SERIES_HEADER + "p1,hr,1,80\rp2,sbp,2,70\rp1,sbp,3,5\r", True),
+    ("blank_lines", SERIES_HEADER + "\n" + "\n\n".join(BASIC_SERIES) + "\n", True),
+    ("repeated_key_adjacent", BASIC + "p2,sbp,4,111\n", False),
+    ("repeated_key_apart", BASIC + "p1,hr,1,85\n", False),
+]
+
+
+@pytest.mark.parametrize("series, columnar", [case[1:] for case in BOUNDARY_CASES],
+                         ids=[case[0] for case in BOUNDARY_CASES])
+def test_every_chunk_boundary_reads_alike(tmp_path, series, columnar):
+    paths = write_files(tmp_path, cohort_files(series, *P12))
+    expected = (series_bits(sumlearn.data._read_series_rows(paths[0], EDGE_T, None))
+                if columnar else None)
+    for chars in range(len(series) + 1):
+        with chunks_of(chars):
+            read = sumlearn.data._read_series_columns(paths[0], EDGE_T, None)
+        assert series_bits(read) == expected, chars
 
 
 @pytest.mark.parametrize("T, columnar", [
@@ -421,11 +492,8 @@ def fuzz_checkpoint(tmp_path_factory):
     return path
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(files=fuzz_cohorts(),
-       variables=st.sampled_from([None, FUZZ_VARIABLES, FUZZ_VARIABLES[::-1]]))
-def test_fuzzed_cohorts_read_alike_and_fail_typed(fuzz_checkpoint, files,
-                                                  variables):
+def read_alike_and_fail_typed(fuzz_checkpoint, files, variables):
+    """Both readers give the same RawCohort or error, and eval fails typed."""
     with tempfile.TemporaryDirectory() as directory:
         paths = write_files(directory, files)
         assert (ingest_outcome(paths, FUZZ_T, variables)
@@ -443,6 +511,48 @@ def test_fuzzed_cohorts_read_alike_and_fail_typed(fuzz_checkpoint, files,
         assert err == ""
     else:  # e.g. a single class: no AUC
         assert code == 2 and err.count("\n") == 1 and err.startswith("data error:")
+
+
+FUZZ_PARAMETERS = given(
+    files=fuzz_cohorts(),
+    variables=st.sampled_from([None, FUZZ_VARIABLES, FUZZ_VARIABLES[::-1]]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@FUZZ_PARAMETERS
+def test_fuzzed_cohorts_read_alike_and_fail_typed(fuzz_checkpoint, files,
+                                                  variables):
+    read_alike_and_fail_typed(fuzz_checkpoint, files, variables)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@FUZZ_PARAMETERS
+def test_fuzzed_cohorts_read_alike_in_chunks_of_one_line(fuzz_checkpoint, files,
+                                                         variables):
+    with chunks_of(0):
+        read_alike_and_fail_typed(fuzz_checkpoint, files, variables)
+
+
+# ingest_csv's tracemalloc peak per timeseries.csv row on the cohort below
+# (249,085 rows): 220 bytes when one np.loadtxt call parsed the whole file
+# into Python strings, 63 when chunks of lines are parsed one at a time and
+# only their codes, hours and values kept.  The bound lies halfway.
+INGEST_BYTES_PER_ROW = 141
+
+
+def test_ingest_memory_per_series_row_is_bounded(tmp_path):
+    spec = sumlearn.synth.SynthSpec(n_examples=2000, n_variables=6, T=24, seed=0)
+    batch, _ = sumlearn.synth.generate(spec)
+    sumlearn.synth.write_cohort(batch, tmp_path)
+    rows = int(batch.M.sum())
+    del batch
+    tracemalloc.start()
+    try:
+        ingest_csv(*cohort_paths(tmp_path), T=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < INGEST_BYTES_PER_ROW
 
 
 class TestImpute:

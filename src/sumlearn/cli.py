@@ -126,6 +126,7 @@ def _fit_one_seed(raw, config, test_fraction, seed, out_dir):
     batch_train_all = data.apply_normalization(batch_train_all, stats)
     batch_test = data.apply_normalization(
         data.build_batch(test_raw, stats.population_median), stats)
+    del train_raw, test_raw  # the split's copies of the cohort: not kept through training
     fit_batch, val_batch = data.split_by_patient(
         batch_train_all, config.val_fraction, seed + 1
     )

@@ -325,10 +325,12 @@ def _read_series_rows(path, T, fixed):
     the first bad row raises the error that names it."""
     line_of = {}  # (pid, var, hour) -> line
     values = []
+    names = {}  # one string object per distinct id and name, shared by the keys
     rows = _read_rows(path, SERIES_HEADER)
     next(rows)  # the header
     for line_no, row in rows:
         pid, var = row[0].strip(), row[1].strip()
+        pid, var = names.setdefault(pid, pid), names.setdefault(var, var)
         try:
             hour = int(row[2])
         except ValueError:

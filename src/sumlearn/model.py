@@ -82,26 +82,45 @@ def feature_names_for(variable_names, static_names, T, mode):
                                                       static_names, T, mode)]
 
 
-def assemble_features(H, S, X, M, mode):
-    """Design matrix (N, F): the blocks of LAYOUTS[mode], in order."""
+def assemble_features(H, S, X, M, mode, out=None):
+    """Design matrix (N, F): the blocks of LAYOUTS[mode], in order, written
+    into ``out`` (N, F) when given, else into a new array."""
     N = X.shape[0]
     if "H" in _layout(mode) and (H is None or H.shape[0] != N):
         raise DataError("full modes need the summary tensor H of the N examples")
     blocks = {"H": H, "static": S, "xT": X[:, :, -1], "mT": M[:, :, -1], "x": X, "m": M}
-    return np.concatenate([blocks[b].reshape(N, -1) for b in LAYOUTS[mode]], axis=1)
+    parts = [blocks[b].reshape(N, -1) for b in LAYOUTS[mode]]
+    F = sum(part.shape[1] for part in parts)
+    if out is None:
+        out = np.empty((N, F))
+    elif out.shape != (N, F):
+        raise DataError(f"the {mode} design of this batch is {(N, F)}, not {out.shape}")
+    start = 0
+    for part in parts:
+        # numpy skips the copy of a part onto itself: forward's H, which the
+        # summary kernel wrote straight into these columns
+        out[:, start : start + part.shape[1]] = part
+        start += part.shape[1]
+    return out
 
 
 def forward(batch, summary_params, model_params, mode, tangent=False):
     """(z, design, tangents): the logits of a normalized batch, the design
     matrix they come from, and with ``tangent`` (relaxed mode only) the
-    (dH/dC, dH/dphi) of the same kernel pass, else None."""
+    (dH/dC, dH/dphi) of the same kernel pass, else None.
+
+    The design is the one array of the pass: the summary kernel writes H
+    into its leading columns, and assemble_features fills the rest."""
+    N, D = batch.X.shape[:2]
+    design = np.empty((N, model_params.n_features))
     H = tangents = None
     if "H" in _layout(mode):
-        H = compute_summary_tensor(batch.X, batch.M, summary_params, mode,
-                                   tangent=tangent)
+        H = design[:, : D * N_SUMMARIES].reshape(N, D, N_SUMMARIES)  # a view
+        result = compute_summary_tensor(batch.X, batch.M, summary_params, mode,
+                                        tangent=tangent, out=H)
         if tangent:
-            H, tangents = H[0], H[1:]
-    design = assemble_features(H, batch.S, batch.X, batch.M, mode)
+            tangents = result[1:]
+    assemble_features(H, batch.S, batch.X, batch.M, mode, out=design)
     return design @ model_params.coeffs + model_params.bias, design, tangents
 
 

@@ -171,14 +171,17 @@ def _time_axis(T):
     return np.arange(1, T + 1, dtype=float)
 
 
-def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False):
+def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False,
+                   out=None):
     """``(H, dH_dC, dH_dphi)`` of the batch, filled in groups of row blocks.
 
     X, M are (N, D, T); w is (D, I, T), the window of every (variable,
-    summary) cell.  H is (N, D, I).  With ``tangent`` (relaxed mode only)
-    dH_dC (N, D, I) is dH[n, d, i]/dC[d, i] and dH_dphi (2, N, D)
-    holds dH[n, d, FRAC_ABOVE]/dphi_plus[d] and
-    dH[n, d, FRAC_BELOW]/dphi_minus[d]; otherwise both are None.
+    summary) cell.  H is (N, D, I), written into ``out`` when given (any
+    float64 array of that shape, such as a strided view of a design
+    matrix's columns).  With ``tangent`` (relaxed mode only) dH_dC (N, D, I)
+    is dH[n, d, i]/dC[d, i] and dH_dphi (2, N, D) holds
+    dH[n, d, FRAC_ABOVE]/dphi_plus[d] and dH[n, d, FRAC_BELOW]/dphi_minus[d];
+    otherwise both are None.
     """
     N, D, T = X.shape
     gate = _step if hard else sigmoid
@@ -216,7 +219,12 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False)
     buffers = [np.empty(n * rows_per_block * D * T)
                for n in (n_feat, len(DEVIATION_WINDOWS), len(SECOND_PASS_WINDOWS))]
     sums = np.empty(D * n_feat * rows_per_block * cols.shape[-1])
-    H = np.empty((N, D, N_SUMMARIES))
+    if out is None:
+        H = np.empty((N, D, N_SUMMARIES))
+    elif out.shape == (N, D, N_SUMMARIES) and out.dtype == float:
+        H = out
+    else:
+        raise ValueError(f"out must be a float64 array of shape {(N, D, N_SUMMARIES)}")
     dH_dC = np.zeros((N, D, N_SUMMARIES)) if tangent else None
     dH_dphi = np.empty((2, N, D)) if tangent else None
 
@@ -397,18 +405,19 @@ def window_weights(params, T, mode):
     raise ValueError(f"unknown summary mode: {mode!r}")
 
 
-def compute_summary_tensor(X, M, params, mode="relaxed", tangent=False):
+def compute_summary_tensor(X, M, params, mode="relaxed", tangent=False, out=None):
     """All I summaries for every (example, variable), shape (N, D, I).
 
     mode="relaxed" uses soft windows and soft threshold indicators;
     mode="hard" uses exact indicators throughout (no tau dependence).
     With ``tangent`` (relaxed only) the same kernel pass also gives the
-    tangents: returns (H, dH/dC (N, D, I), dH/dphi (2, N, D)).
+    tangents: returns (H, dH/dC (N, D, I), dH/dphi (2, N, D)).  With
+    ``out`` the kernel writes H into that array (see summary_blocks).
     """
     X = np.asarray(X, dtype=float)
     W = window_weights(params, X.shape[-1], mode)
     H, dH_dC, dH_dphi = summary_blocks(
         X, M, W, params.phi_plus, params.phi_minus, params.tau_temp,
-        hard=mode == "hard", tangent=tangent,
+        hard=mode == "hard", tangent=tangent, out=out,
     )
     return (H, dH_dC, dH_dphi) if tangent else H

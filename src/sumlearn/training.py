@@ -106,6 +106,23 @@ def _check_finite(name, value, epoch):
         )
 
 
+def _step(summary_params, model_params, states, mb, weights, config, epoch):
+    """One Adam update of every block from the minibatch ``mb``, with C
+    clamped to [0, T].  A function: the minibatch and its design and
+    gradients die on return, before any evaluation of the full batches."""
+    grads = loss_and_gradients(summary_params, model_params, mb, config,
+                               weights=weights)[1]
+    for name in BLOCKS:
+        owner = block_owner(name, summary_params, model_params)
+        lr = (config.learning_rate if owner is model_params
+              else config.summary_learning_rate)
+        value = adam_step(getattr(owner, name), grads[name], states[name], lr)
+        if name == "C":
+            value = np.clip(value, 0.0, mb.T)
+        _check_finite(name, value, epoch)
+        setattr(owner, name, value)
+
+
 def train(batch_train, batch_val, config):
     """Seeded minibatch training; returns best-by-validation parameters.
 
@@ -116,7 +133,6 @@ def train(batch_train, batch_val, config):
     """
     rng = np.random.default_rng(config.seed)
     summary_params, model_params = init_params(batch_train, config)
-    T = batch_train.T
     N = batch_train.n_examples
     omega = class_weights(batch_train.y)
     omega_val = class_weights(batch_val.y)
@@ -138,19 +154,8 @@ def train(batch_train, batch_val, config):
         perm = rng.permutation(N)
         for start in range(0, N, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            mb = batch_train.take(idx)
-            loss, grads = loss_and_gradients(
-                summary_params, model_params, mb, config, weights=omega[idx]
-            )
-            for name in BLOCKS:
-                owner = block_owner(name, summary_params, model_params)
-                lr = (config.learning_rate if owner is model_params
-                      else config.summary_learning_rate)
-                value = adam_step(getattr(owner, name), grads[name], states[name], lr)
-                if name == "C":
-                    value = np.clip(value, 0.0, T)
-                _check_finite(name, value, epoch)
-                setattr(owner, name, value)
+            _step(summary_params, model_params, states, batch_train.take(idx),
+                  omega[idx], config, epoch)
         stopped_epoch = epoch
         if epoch % config.eval_interval == 0 or epoch == config.max_epochs:
             train_loss = total_loss(

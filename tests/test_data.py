@@ -555,6 +555,28 @@ def test_ingest_memory_per_series_row_is_bounded(tmp_path):
     assert peak / rows < INGEST_BYTES_PER_ROW
 
 
+# The row reader's tracemalloc peak per timeseries.csv row on the cohort below
+# (39,930 rows): 353 bytes when each row's key held its own patient id and
+# variable name strings, 246 when every key shares one string per distinct
+# id and name.  The bound lies halfway.
+ROW_READER_BYTES_PER_ROW = 300
+
+
+def test_row_reader_memory_per_series_row_is_bounded(tmp_path):
+    spec = sumlearn.synth.SynthSpec(n_examples=320, n_variables=6, T=24, seed=0)
+    batch, _ = sumlearn.synth.generate(spec)
+    sumlearn.synth.write_cohort(batch, tmp_path)
+    rows = int(batch.M.sum())
+    del batch
+    tracemalloc.start()
+    try:
+        sumlearn.data._read_series_rows(cohort_paths(tmp_path)[0], 24, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < ROW_READER_BYTES_PER_ROW
+
+
 class TestImpute:
     def test_carry_forward_then_median(self, tmp_path):
         paths = write_cohort(tmp_path, BASIC_SERIES, BASIC_STATIC, BASIC_LABELS)

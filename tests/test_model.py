@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sumlearn.data import class_weights, fit_normalization
-from sumlearn.errors import CheckpointFormatError
+from sumlearn.errors import CheckpointFormatError, DataError
 from sumlearn.model import (
     LAYOUTS,
     MODES,
@@ -23,7 +24,8 @@ from sumlearn.model import (
     total_loss,
     weighted_bce_from_logits,
 )
-from sumlearn.summaries import SUMMARY_NAMES, SummaryParams, sigmoid
+from sumlearn.summaries import (SUMMARY_NAMES, SummaryParams, compute_summary_tensor,
+                                sigmoid)
 
 from conftest import full_window_params, random_batch
 
@@ -42,6 +44,14 @@ class TestFeatureAssembly:
         assert np.array_equal(design[:, d * 12: d * 12 + p], s)
         assert np.array_equal(design[:, d * 12 + p: d * 12 + p + d], x[:, :, -1])
         assert np.array_equal(design[:, -d:], m[:, :, -1])
+
+    def test_design_of_the_wrong_width_is_a_data_error(self, rng):
+        h = rng.standard_normal((4, 3, 12))
+        s = rng.standard_normal((4, 2))
+        x = rng.standard_normal((4, 3, 6))
+        m = np.ones((4, 3, 6), dtype=bool)
+        with pytest.raises(DataError, match="design"):
+            assemble_features(h, s, x, m, "relaxed", out=np.empty((4, 3 * 12 + 2 + 5)))
 
     def test_time_of_prediction_only_layout(self, rng):
         n, d, t, p = 4, 3, 6, 2
@@ -199,6 +209,57 @@ class TestPredict:
         assert design.dtype == float
         assert np.array_equal(design, design_float)
         assert np.array_equal(z, z_float)
+
+    @pytest.mark.parametrize("mode, tangent", [(mode, False) for mode in MODES]
+                             + [("relaxed", True)])
+    def test_design_written_in_place_equals_the_assembled_one(self, rng, mode,
+                                                              tangent):
+        """forward's kernel writes H into the design it allocates; over several
+        row groups that design, its logits and its tangents equal, bit for bit,
+        the design assembled from a separately computed H."""
+        batch = random_batch(rng, n=300, d=12, t=48)
+        sp = SummaryParams(rng.uniform(0, batch.T, (12, 12)), np.ones(12),
+                           -np.ones(12), 0.1)
+        names = feature_names_for(batch.variable_names, batch.static_names,
+                                  batch.T, mode)
+        mp = ModelParams(rng.standard_normal(len(names)), 0.2, names)
+        z, design, tangents = forward(batch, sp, mp, mode, tangent=tangent)
+        H = expected_tangents = None
+        if mode in ("relaxed", "hard"):
+            H = compute_summary_tensor(batch.X, batch.M, sp, mode, tangent=tangent)
+            if tangent:
+                H, *expected_tangents = H
+        expected = assemble_features(H, batch.S, batch.X, batch.M, mode)
+        assert design.flags.c_contiguous
+        assert np.array_equal(design, expected)
+        assert np.array_equal(z, expected @ mp.coeffs + mp.bias)
+        if tangent:
+            for got, want in zip(tangents, expected_tangents):
+                assert np.array_equal(got, want)
+        else:
+            assert tangents is None
+
+
+# model.forward's tracemalloc peak per row of a hard-mode 2000x30x48 batch:
+# 6,275 bytes when the kernel returned H and a concatenation copied it into a
+# new design, 5,202 when the kernel writes H into the one design array.  The
+# bound lies halfway.
+FORWARD_BYTES_PER_ROW = 5740
+
+
+def test_forward_memory_per_row_is_bounded():
+    rng = np.random.default_rng(0)
+    batch = random_batch(rng, n=2000, d=30, t=48)
+    sp = SummaryParams(rng.uniform(0, 48, (30, 12)), np.ones(30), -np.ones(30), 0.1)
+    names = feature_names_for(batch.variable_names, batch.static_names, 48, "hard")
+    mp = ModelParams(rng.standard_normal(len(names)), 0.2, names)
+    tracemalloc.start()
+    try:
+        forward(batch, sp, mp, "hard")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / batch.n_examples < FORWARD_BYTES_PER_ROW
 
 
 class TestCheckpoint:

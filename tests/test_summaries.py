@@ -615,3 +615,38 @@ def test_bool_and_float_masks_give_the_same_bits(tangent):
     from_bool = sumlearn.summaries.summary_blocks(X, M.astype(bool), *rest)
     for a, b in zip(from_bool, from_float):
         assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode, tangent", [("relaxed", True), ("relaxed", False),
+                                           ("hard", False)])
+def test_out_into_strided_columns_gives_the_same_bits(mode, tangent):
+    """H written into a strided view of a wider matrix's columns, over several
+    row blocks and groups of blocks, equals a fresh H bit for bit and leaves
+    the other columns alone; the tangents are the same too."""
+    rng = np.random.default_rng(5)
+    d, t = 6, 24
+    n = 2 * sumlearn.summaries.GROUP_BLOCKS * _rows_per_block(d, t) + 5
+    X = rng.standard_normal((n, d, t))
+    M = rng.random((n, d, t)) < 0.6
+    params = SummaryParams(rng.uniform(0, t, (d, 12)), rng.standard_normal(d),
+                           rng.standard_normal(d), 0.1)
+    expected = compute_summary_tensor(X, M, params, mode, tangent=tangent)
+    design = np.full((n, 3 + d * 12 + 7), -1.0)
+    view = design[:, 3 : 3 + d * 12].reshape(n, d, 12)
+    assert np.shares_memory(view, design)
+    got = compute_summary_tensor(X, M, params, mode, tangent=tangent, out=view)
+    H, fresh = (got[0], expected[0]) if tangent else (got, expected)
+    assert H is view
+    assert np.array_equal(view, fresh)
+    assert (design[:, :3] == -1.0).all() and (design[:, 3 + d * 12 :] == -1.0).all()
+    if tangent:
+        for a, b in zip(got[1:], expected[1:]):
+            assert np.array_equal(a, b)
+
+
+def test_out_of_the_wrong_shape_is_refused():
+    X = np.zeros((4, 2, 6))
+    params = full_window_params(2, t=6)
+    for out in (np.empty((4, 2, 11)), np.empty((4, 2, 12), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be"):
+            compute_summary_tensor(X, X, params, mode="hard", out=out)

@@ -17,6 +17,7 @@ prevalence.  Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -29,6 +30,9 @@ from .errors import DataError, check_fields, setting
 from .summaries import sigmoid
 
 AR_COEFF = 0.8
+# write_cohort formats timeseries.csv this many rows at a time: the strings of
+# one chunk set its peak memory, and more rows per chunk gain no speed
+SERIES_CHUNK_ROWS = 1 << 12
 
 
 @dataclass
@@ -48,7 +52,7 @@ class SynthSpec:
     threshold_window: int = 6
     threshold_weight: float = 1.0
     missing_var: int = 2
-    missing_rate_multiplier: float = 1.8
+    missing_rate_multiplier: float = setting(1.8, low=1)
     missing_weight: float = 0.7
     p_obs: float = 0.9
     noise_scale: float = 1.0
@@ -96,11 +100,14 @@ def generate(spec):
     z = rng.standard_normal(N)
     t_ax = np.arange(1, T + 1)
 
-    # AR(1) background noise for every variable
-    noise = rng.standard_normal((N, D, T)) * spec.noise_scale
-    vals[:, :, 0] = noise[:, :, 0]
+    # AR(1) background noise for every variable, run on an hour-major
+    # (T, N, D) copy so that each step reads and writes contiguous slabs
+    ar = rng.standard_normal((N, D, T)).transpose(2, 0, 1).copy()
+    ar *= spec.noise_scale
     for t in range(1, T):
-        vals[:, :, t] = AR_COEFF * vals[:, :, t - 1] + noise[:, :, t]
+        ar[t] += AR_COEFF * ar[t - 1]
+    vals[...] = ar.transpose(1, 2, 0)
+    del ar
 
     # trend plant: slope proportional to z inside the window, an
     # independent distractor trend before it, plus a per-patient level
@@ -173,20 +180,40 @@ def generate(spec):
     return batch, descriptor
 
 
+def _csv_field(value):
+    """``value`` as csv.writer writes it inside a row, with its comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-2]  # without the "\r\n" line terminator
+
+
 def write_cohort(batch, out_dir):
-    """Write the three-CSV cohort format; measured entries only."""
+    """Write the three-CSV cohort format; measured entries only.
+
+    timeseries.csv holds the bytes that csv.writer writes for the rows
+    (patient id, variable name, hour, repr of the value) in (patient,
+    variable, hour) order.  Each id and name is encoded once, and the rows
+    are formatted ``SERIES_CHUNK_ROWS`` at a time, so that the repr of each
+    value is the only formatting done per row."""
     Path(out_dir).mkdir(parents=True, exist_ok=True)
     series_path, static_path, labels_path = cohort_paths(out_dir)
+    T = batch.T
+    var_fields = [_csv_field(var) for var in batch.variable_names]
+    prefixes = [pid + var for pid in map(_csv_field, batch.patient_ids)
+                for var in var_fields]  # "<pid>,<variable>," per (n, d)
+    hours = [f"{t}," for t in range(1, T + 1)]
+    values = batch.X.reshape(-1)
+    cells = np.flatnonzero(batch.M)  # in (patient, variable, hour) order
     with open(series_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
-        n, d, t = np.nonzero(batch.M)  # in (patient, variable, hour) order
-        writer.writerows(zip(
-            [batch.patient_ids[i] for i in n.tolist()],
-            [batch.variable_names[j] for j in d.tolist()],
-            (t + 1).tolist(),
-            map(repr, batch.X[n, d, t].tolist()),
-        ))
+        csv.writer(fh).writerow(SERIES_HEADER)
+        for start in range(0, len(cells), SERIES_CHUNK_ROWS):
+            chunk = cells[start:start + SERIES_CHUNK_ROWS]
+            pair, hour = np.divmod(chunk, T)
+            fh.write("".join([
+                f"{prefixes[p]}{hours[h]}{v!r}\r\n"
+                for p, h, v in zip(pair.tolist(), hour.tolist(),
+                                   values[chunk].tolist())
+            ]))
     with open(static_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(STATIC_HEADER + batch.static_names)

@@ -1,8 +1,17 @@
+import csv
+import filecmp
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sumlearn.data import ingest_csv
-from sumlearn.synth import SynthSpec, generate, write_cohort, write_truth
+import sumlearn.synth
+from sumlearn.data import (LABELS_HEADER, SERIES_HEADER, STATIC_HEADER,
+                           cohort_paths, ingest_csv)
+from sumlearn.errors import DataError
+from sumlearn.synth import (AR_COEFF, SynthSpec, generate, write_cohort,
+                            write_truth)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +113,115 @@ class TestGenerate:
         assert abs(point_biserial(slope, batch.y)) < 0.05
 
 
+class TestSpec:
+    @pytest.mark.parametrize("r", [0, 0.5])
+    def test_missing_rate_multiplier_below_1_is_a_data_error(self, r):
+        # the measurement rate of the missingness plant rises from p_obs/r to
+        # p_obs, so r < 1 would clip it to 1 (and r = 0 divides by zero)
+        with pytest.raises(DataError, match="must be >= 1"):
+            SynthSpec(missing_rate_multiplier=r)
+
+    def test_missing_rate_multiplier_of_1_is_accepted(self):
+        batch, _ = generate(SynthSpec(n_examples=50, missing_rate_multiplier=1))
+        assert batch.M.any()
+
+
+def per_hour_background(spec):
+    """The AR(1) background noise as a loop over the (N, D) slices of an
+    (N, D, T) array, from the draws that generate makes."""
+    rng = np.random.default_rng(spec.seed)
+    rng.standard_normal(spec.n_examples)  # the latent acuity z
+    shape = (spec.n_examples, spec.n_variables, spec.T)
+    noise = rng.standard_normal(shape) * spec.noise_scale
+    vals = np.empty(shape)
+    vals[:, :, 0] = noise[:, :, 0]
+    for t in range(1, spec.T):
+        vals[:, :, t] = AR_COEFF * vals[:, :, t - 1] + noise[:, :, t]
+    return vals
+
+
+@pytest.mark.parametrize("T", [1, 2, 48])
+def test_background_equals_the_per_hour_loop(T):
+    spec = SynthSpec(n_examples=60, n_variables=5, T=T, trend_window=min(8, T),
+                     threshold_window=min(6, T), noise_scale=0.7, seed=11)
+    batch, _ = generate(spec)
+    want = per_hour_background(spec)
+    # every variable but the trend and threshold plants keeps its background
+    # at its measured cells
+    for d in set(range(spec.n_variables)) - {spec.trend_var, spec.threshold_var}:
+        measured = batch.M[:, d]
+        assert measured.any()
+        assert np.array_equal(batch.X[:, d][measured], want[:, d][measured])
+
+
+def csv_writer_cohort(batch, out_dir):
+    """The three cohort files written row by row through csv.writer: the
+    reference for the bytes of write_cohort."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    series_path, static_path, labels_path = cohort_paths(out_dir)
+    with open(series_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SERIES_HEADER)
+        n, d, t = np.nonzero(batch.M)
+        writer.writerows(zip(
+            [batch.patient_ids[i] for i in n.tolist()],
+            [batch.variable_names[j] for j in d.tolist()],
+            (t + 1).tolist(),
+            map(repr, batch.X[n, d, t].tolist()),
+        ))
+    with open(static_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STATIC_HEADER + batch.static_names)
+        for n, pid in enumerate(batch.patient_ids):
+            writer.writerow([pid] + [repr(float(v)) for v in batch.S[n]])
+    with open(labels_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LABELS_HEADER)
+        for n, pid in enumerate(batch.patient_ids):
+            writer.writerow([pid, int(batch.y[n])])
+
+
+def assert_writes_csv_writer_bytes(batch, tmp_path):
+    write_cohort(batch, tmp_path / "got")
+    csv_writer_cohort(batch, tmp_path / "want")
+    for got, want in zip(cohort_paths(tmp_path / "got"),
+                         cohort_paths(tmp_path / "want")):
+        assert filecmp.cmp(got, want, shallow=False), got.name
+
+
+# Names that csv.writer quotes (a comma, a quote, a line break), or writes
+# as they are (surrounding spaces, non-ASCII, the empty string).
+AWKWARD_NAMES = ['a,b', 'say "hi"', 'two\nlines', 'cr\rlf', ' padded ',
+                 'caf\u00e9 \u03b2', '', 'plain']
+
+
 class TestWriteCohort:
+    def test_bytes_of_a_seeded_cohort_with_chunks_inside_patients(
+            self, tmp_path, monkeypatch):
+        batch, _ = generate(SynthSpec(n_examples=40, seed=6))
+        # a patient has about 130 measured cells, so most chunk boundaries
+        # fall inside one
+        monkeypatch.setattr(sumlearn.synth, "SERIES_CHUNK_ROWS", 97)
+        assert_writes_csv_writer_bytes(batch, tmp_path)
+
+    def test_bytes_of_names_that_need_quoting(self, tmp_path, monkeypatch):
+        batch, _ = generate(SynthSpec(n_examples=len(AWKWARD_NAMES),
+                                      n_variables=len(AWKWARD_NAMES), T=5,
+                                      trend_window=3, threshold_window=3,
+                                      seed=2))
+        batch = replace(batch, patient_ids=AWKWARD_NAMES[::-1],
+                        variable_names=AWKWARD_NAMES,
+                        static_names=AWKWARD_NAMES[:batch.n_static])
+        monkeypatch.setattr(sumlearn.synth, "SERIES_CHUNK_ROWS", 11)
+        assert_writes_csv_writer_bytes(batch, tmp_path)
+
+    def test_no_measured_cell_writes_only_the_header(self, tmp_path):
+        batch, _ = generate(SynthSpec(n_examples=5, seed=0))
+        batch = replace(batch, M=np.zeros_like(batch.M))
+        assert_writes_csv_writer_bytes(batch, tmp_path)
+        series = cohort_paths(tmp_path / "got")[0]
+        assert series.read_bytes() == b"patient_id,variable,hour,value\r\n"
+
     def test_roundtrip_through_ingest(self, tmp_path):
         spec = SynthSpec(n_examples=50, seed=4)
         batch, desc = generate(spec)
@@ -121,6 +238,26 @@ class TestWriteCohort:
         vmap = [raw.variable_names.index(v) for v in batch.variable_names]
         measured = batch.M == 1
         got = raw.values[order][:, vmap, :]
-        assert np.allclose(got[measured], batch.X[measured])
+        assert np.array_equal(got[measured], batch.X[measured])
         assert np.isnan(got[~measured]).all()
         assert (tmp_path / "truth.json").exists()
+
+
+# write_cohort's tracemalloc peak per timeseries.csv row on the cohort below
+# (249,085 rows): 89 bytes when every row went through csv.writer as a tuple
+# of Python objects, 14.5 when each id and name is encoded once and the rows
+# are formatted in chunks of 4,096.  The bound lies halfway.
+WRITE_BYTES_PER_ROW = 52
+
+
+def test_write_memory_per_series_row_is_bounded(tmp_path):
+    spec = SynthSpec(n_examples=2000, n_variables=6, T=24, seed=0)
+    batch, _ = generate(spec)
+    rows = int(batch.M.sum())
+    tracemalloc.start()
+    try:
+        write_cohort(batch, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < WRITE_BYTES_PER_ROW

@@ -157,6 +157,8 @@ def cmd_train(args):
     seeds = args.seeds
     categorical = args.categorical.split(",") if args.categorical else ()
     T = check_value("--t", args.t, "int", UsageError, low=1)
+    if not 0 < args.test_fraction < 1:  # NaN too
+        raise UsageError("--test-fraction must be in (0, 1)")
     raw = data.ingest_csv(*data.cohort_paths(args.cohort_dir), T,
                           categorical_columns=categorical)
     out = Path(args.out)

@@ -35,12 +35,6 @@ _SERIES_DTYPE = np.dtype([("patient", object), ("variable", object),
 _CHUNK_CHARS = 1 << 18
 
 
-def _numpy_only_space(text):
-    """Whether ``text`` holds a separator that numpy's number parser skips
-    as whitespace and Python's int() and float() reject."""
-    return any(space in text for space in "\x1c\x1d\x1e\x1f")
-
-
 def _take(cohort, indices):
     """The examples ``indices`` of a RawCohort or ClinicalBatch, in order:
     every array field and the patient ids are indexed, the names shared."""
@@ -145,8 +139,9 @@ def _read_rows(path, expected_header):
 
     A file that cannot be opened or is not UTF-8 text is a DataError.  The
     header must start with ``expected_header`` (SchemaError otherwise, also
-    for an empty file), and a row with fewer fields is a ParseError naming
-    its line.
+    for an empty file), and a row with fewer fields or one the csv module
+    cannot parse (a field over its size limit) is a ParseError naming its
+    line.
     """
     n_fields = len(expected_header)
     try:
@@ -172,6 +167,8 @@ def _read_rows(path, expected_header):
                 yield line_no, row
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
 
 
 @dataclass
@@ -207,19 +204,6 @@ def _names(code_of, codes):
     return names, np.array([index[s] for s in stripped], dtype=np.intp)[codes]
 
 
-def _factorize(strings):
-    """(sorted distinct stripped strings, the index of each string's stripped
-    form among them)."""
-    code_of = {}
-    return _names(code_of, _codes(strings, code_of))
-
-
-def _series(patients, variables, hours, values):
-    return _Series(*_factorize(patients), *_factorize(variables),
-                   np.asarray(hours, dtype=np.int64),
-                   np.asarray(values, dtype=float))
-
-
 def _joined(parts):
     """The concatenation of ``parts``, which are released as it is made."""
     joined = np.concatenate(parts)
@@ -230,13 +214,14 @@ def _joined(parts):
 def _parse_chunk(text, T, code_of):
     """(patient codes, variable codes, hours, values) of the rows in ``text``,
     whole lines of timeseries.csv after its header, each string coded in
-    ``code_of``; None for a separator numpy alone skips, a non-finite value
-    or an hour outside [1, T].  numpy's parse errors propagate."""
-    if _numpy_only_space(text):
+    ``code_of``; None for a quote, a separator numpy's number parser alone
+    skips as whitespace (Python's int() and float() reject it), a non-finite
+    value or an hour outside [1, T].  numpy's parse errors propagate."""
+    if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
     table = np.loadtxt(
         io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
-        dtype=_SERIES_DTYPE, comments=None, quotechar='"', ndmin=1,
+        dtype=_SERIES_DTYPE, comments=None, ndmin=1,
     )
     hour, value = table["hour"], table["value"]
     if not (np.isfinite(value).all() and 1 <= hour.min() and int(hour.max()) <= T):
@@ -249,10 +234,8 @@ def _parse_chunk(text, T, code_of):
 def _read_series_columns(path, T, fixed):
     """The rows of ``timeseries.csv`` read by numpy's C parser in chunks of
     whole lines, or None when the row reader might read or judge any of them
-    otherwise.
-
-    That is: an unreadable, empty or non-UTF-8 file, a header that is not
-    the expected one or holds a quote or a carriage return, a byte numpy
+    otherwise: a header that ``_read_rows`` rejects, any quote after it (the
+    csv module parses every quoted field), a non-UTF-8 byte, a byte numpy
     skips as whitespace but Python does not, any row numpy cannot parse
     (Python's parser also takes ``1_0`` and non-ASCII digits), and any row
     the row reader rejects: a non-finite value, an hour outside [1, T], an
@@ -261,25 +244,19 @@ def _read_series_columns(path, T, fixed):
     A chunk is at least ``_CHUNK_CHARS`` characters, split into lines as
     numpy splits a file (universal newlines).  It keeps only its rows' codes,
     hours and values, so the strings numpy makes for its cells die with it.
-    A chunk that holds a quote takes the rest of the file, so every chunk
-    starts outside any quoted field.
     """
+    try:
+        next(_read_rows(path, SERIES_HEADER))
+    except DataError:
+        return None
     code_of = ({}, {})  # provisional code of each raw patient, variable string
     columns = ([], [], [], [])  # per chunk: patient, variable codes, hour, value
     try:
-        with open(path, "rb") as raw, warnings.catch_warnings():
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             # before numpy 2 an hour such as "1.0" warns
             warnings.simplefilter("error")
-            header = raw.readline().removesuffix(b"\n").removesuffix(b"\r")
-            header = header.decode("utf-8")
-            if ('"' in header or "\r" in header or _numpy_only_space(header)
-                    or [c.strip() for c in header.split(",")][:len(SERIES_HEADER)]
-                    != SERIES_HEADER):
-                return None
-            fh = io.TextIOWrapper(raw, encoding="utf-8")
+            next(csv.reader(fh))  # the header record, judged above
             while text := fh.read(_CHUNK_CHARS) + fh.readline():
-                if '"' in text:
-                    text += fh.read()
                 if text.count("\n") == len(text):  # blank lines, which numpy skips
                     continue
                 parts = _parse_chunk(text, T, code_of)
@@ -357,7 +334,10 @@ def _read_series_rows(path, T, fixed):
         line_of[key] = line_no
         values.append(value)
     pids, variables, hours = zip(*line_of) if line_of else ((), (), ())
-    return _series(pids, variables, hours, values)
+    code_of = ({}, {})
+    return _Series(*_names(code_of[0], _codes(pids, code_of[0])),
+                   *_names(code_of[1], _codes(variables, code_of[1])),
+                   np.array(hours, dtype=np.int64), np.array(values, dtype=float))
 
 
 def ingest_csv(
@@ -601,10 +581,13 @@ def split_by_patient(cohort, test_fraction, seed):
 
 
 def class_weights(y):
-    """Per-example weights N / (2 * count(y == y_n)); classes must both appear."""
+    """Per-example weights N / (2 * count(y == y_n)); labels must be 0 or 1,
+    and both must appear."""
     y = np.asarray(y)
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
+    if n_pos + n_neg != len(y):
+        raise DataError("class weights undefined: labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise DataError("class weights undefined: only one class present")
     N = len(y)

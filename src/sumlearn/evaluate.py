@@ -23,7 +23,8 @@ SUMMARY_PHRASES = (
 
 def auc(scores, labels):
     """ROC AUC via the rank-sum statistic, ties counted half.  A non-finite
-    score has no rank, so it is a NumericalError."""
+    score has no rank, so it is a NumericalError; labels other than 0 and 1,
+    or only one of them, are a DataError."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     n_bad = int(np.count_nonzero(~np.isfinite(scores)))
@@ -31,6 +32,8 @@ def auc(scores, labels):
         raise NumericalError(f"AUC undefined: {n_bad} non-finite score(s)")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != len(labels):
+        raise DataError("AUC undefined: labels must be 0 or 1")
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUC undefined: both classes must be present")
     order = np.argsort(scores, kind="mergesort")

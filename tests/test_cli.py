@@ -583,6 +583,19 @@ class TestTypedFailures:
         assert_fails(capsys, code, 1, "usage error: --t must be >= 1")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.25", "nan"])
+    def test_test_fraction_outside_0_1_is_1(self, cohort_dir, tmp_path, capsys,
+                                            monkeypatch, value):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("train read the cohort before checking its flags")
+
+        monkeypatch.setattr("sumlearn.data.ingest_csv", no_ingest)
+        code = main(["train", "--cohort-dir", str(cohort_dir),
+                     "--out", str(tmp_path / "run"), "--t", "12",
+                     "--test-fraction", value])
+        assert_fails(capsys, code, 1, "usage error: --test-fraction must be in (0, 1)")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command, existing", [
         ("eval", "directory"), ("report", "directory"), ("ablate", "directory"),
         ("train", "file"), ("train", "seed_1"), ("synth", "file"),

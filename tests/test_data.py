@@ -293,11 +293,11 @@ BASIC = SERIES_HEADER + "".join(BASIC_SERIES)
 # id, timeseries.csv, (labels, statics), variables, read by the columnar reader
 EDGE_CASES = [
     ("quoted_comma", SERIES_HEADER + '"p,1",hr,1,80\n"p,1",sbp,2,120\np2,hr,1,70\n',
-     _patients("p,1", "p2"), None, True),
+     _patients("p,1", "p2"), None, False),
     ("quoted_newline", SERIES_HEADER + '"p\n1",hr,1,80\np2,hr,2,70\n',
-     _patients("p\n1", "p2"), None, True),
+     _patients("p\n1", "p2"), None, False),
     ("inner_quote", SERIES_HEADER + 'p"1,hr,1,80\np2,hr,1,70\n',
-     _patients('p"1', "p2"), None, True),
+     _patients('p"1', "p2"), None, False),
     ("hash", SERIES_HEADER + "p#1,hr,1,80\np2,hr,1,70\n",
      _patients("p#1", "p2"), None, True),
     ("line_breaks_of_str_splitlines", SERIES_HEADER
@@ -323,11 +323,13 @@ EDGE_CASES = [
     ("ragged_row", BASIC + "p2,hr,2\n", P12, None, False),
     ("unknown_variable", BASIC, P12, ["hr"], False),
     ("quoted_header", '"patient_id",variable,hour,value\n' + "".join(BASIC_SERIES),
-     P12, None, False),
+     P12, None, True),
     ("header_with_quoted_newline",
      'patient_id,variable,hour,value,"\np9,hr,1,5,"\np1,hr,1,80\n',
-     _patients("p1", "p9"), None, False),
+     _patients("p1", "p9"), None, True),
     ("not_utf8", BASIC.encode() + b"p2,hr,2,8\xff0\n", P12, None, False),
+    ("quoted_everything", '"patient_id","variable","hour","value"\n'
+     '"p1","hr","1","80"\n"p2","sbp","2","70"\n', P12, None, False),
     ("header_only", SERIES_HEADER, P12, None, False),
     ("empty", "", P12, None, False),
 ]
@@ -374,7 +376,7 @@ def test_columnar_reader_agrees_in_chunks_of_one_line(tmp_path, series, patients
 # place: before and after a quoted newline, inside a CRLF pair, between blank
 # lines and between the two rows of a repeated (patient, variable, hour).
 BOUNDARY_CASES = [
-    ("quoted_newline", BASIC + '"p\n1",hr,1,80\np2,hr,2,70\n', True),
+    ("quoted_newline", BASIC + '"p\n1",hr,1,80\np2,hr,2,70\n', False),
     ("crlf", SERIES_HEADER + "p1,hr,1,80\r\np2,sbp,2,70\r\np1,sbp,3,5\r\n", True),
     ("lone_cr", SERIES_HEADER + "p1,hr,1,80\rp2,sbp,2,70\rp1,sbp,3,5\r", True),
     ("blank_lines", SERIES_HEADER + "\n" + "\n\n".join(BASIC_SERIES) + "\n", True),
@@ -395,6 +397,21 @@ def test_every_chunk_boundary_reads_alike(tmp_path, series, columnar):
         assert series_bits(read) == expected, chars
 
 
+@pytest.mark.parametrize("name, text", [
+    ("timeseries.csv", SERIES_HEADER + "p1,hr,1,80\n\"{}\",hr,1,80\n"),
+    ("timeseries.csv", "patient_id,variable,hour,value,{}\np1,hr,1,80\n"),
+    ("labels.csv", "patient_id,label\np1,1\n{},0\n"),
+], ids=["quoted_series_id", "series_header", "label_id"])
+def test_field_over_the_csv_size_limit_is_a_parse_error(tmp_path, name, text):
+    paths = write_files(tmp_path, cohort_files(BASIC, *P12))
+    limit = csv.field_size_limit()
+    line = text.count("\n", 0, text.index("{}")) + 1
+    (tmp_path / name).write_text(text.format("x" * (limit + 1)))
+    expected = (ParseError, f"line {line}: field larger than field limit ({limit})")
+    assert ingest_outcome(paths, EDGE_T) == expected
+    assert ingest_outcome(paths, EDGE_T, columnar=False) == expected
+
+
 @pytest.mark.parametrize("T, columnar", [
     (10**18, True), (3 * 10**18, False), (10**20, False)])
 def test_t_too_large_for_the_series_array_is_a_data_error(tmp_path, T, columnar):
@@ -406,6 +423,57 @@ def test_t_too_large_for_the_series_array_is_a_data_error(tmp_path, T, columnar)
     assert (read is not None) == columnar
     assert (ingest_outcome(paths, T) == ingest_outcome(paths, T, columnar=False)
             == (DataError, f"T = {T}: cannot allocate the (2, 2, {T}) series array"))
+
+
+def _quote_one_id(lines):
+    """The patient id of the middle data row quoted, as a hand edit or a
+    writer that quotes some ids would leave it."""
+    k = len(lines) // 2
+    pid, rest = lines[k].split(",", 1)
+    return lines[:k] + [f'"{pid}",{rest}'] + lines[k + 1:]
+
+
+def _r_style(lines):
+    """As R's write.csv writes: every header name and string field quoted,
+    numbers bare."""
+    names = lines[0].rstrip("\r\n")
+    header = ",".join(f'"{name}"' for name in names.split(",")) + lines[0][len(names):]
+    return [header] + ['"{}","{}",{}'.format(*line.split(",", 2)) for line in lines[1:]]
+
+
+# timeseries.csv as written by synth.write_cohort, then rewritten as other
+# writers quote it, and the reader each copy must reach
+QUOTINGS = [
+    ("plain", lambda lines: lines, True),
+    ("quoted_header", lambda lines: ['"patient_id"' + lines[0][len("patient_id"):],
+                                     *lines[1:]], True),
+    ("r_style", _r_style, False),
+    ("one_quoted_id", _quote_one_id, False),
+]
+
+
+def test_realistic_quoting_reads_alike_across_many_chunks(tmp_path):
+    spec = sumlearn.synth.SynthSpec(n_examples=2000, n_variables=6, T=24, seed=3)
+    batch, _ = sumlearn.synth.generate(spec)
+    sumlearn.synth.write_cohort(batch, tmp_path / "synth")
+    del batch
+    with open(tmp_path / "synth" / "timeseries.csv", newline="") as fh:
+        lines = fh.readlines()  # each with its CRLF
+    assert sum(map(len, lines)) > 8 * sumlearn.data._CHUNK_CHARS
+    outcomes = []
+    for name, rewrite, columnar in QUOTINGS:
+        directory = tmp_path / name
+        directory.mkdir()
+        for file in ("static.csv", "labels.csv"):
+            (directory / file).write_bytes((tmp_path / "synth" / file).read_bytes())
+        (directory / "timeseries.csv").write_bytes("".join(rewrite(lines)).encode())
+        paths = cohort_paths(directory)
+        read = sumlearn.data._read_series_columns(paths[0], 24, None)
+        assert (read is not None) == columnar, name
+        del read
+        outcomes.append(ingest_outcome(paths, 24))
+    assert len(outcomes[0]) > 2  # a RawCohort, not an error
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
 FUZZ_T = 6
@@ -731,3 +799,8 @@ class TestClassWeights:
     def test_balanced_labels_give_unit_weights(self):
         y = np.array([1.0, 0.0, 1.0, 0.0])
         assert np.allclose(class_weights(y), 1.0)
+
+    @pytest.mark.parametrize("y", [[0, 1, 2, 1], [0.0, 1.0, 0.5, 1.0], [0, -1, 1, 1]])
+    def test_label_other_than_0_and_1_is_a_data_error(self, y):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
+            class_weights(np.array(y))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sumlearn.cli import main
 from sumlearn.data import fit_normalization
-from sumlearn.errors import NumericalError
+from sumlearn.errors import DataError, NumericalError
 from sumlearn.evaluate import (
     SUMMARY_PHRASES,
     _window_from_C,
@@ -84,6 +84,11 @@ class TestAuc:
     def test_non_finite_score_is_a_numerical_error(self, bad, labels):
         with pytest.raises(NumericalError, match="1 non-finite score"):
             auc(np.array([bad, 0.1, 0.2]), np.array(labels))
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0, 1, 0.5, 1], [0, -1, 1, 1]])
+    def test_label_other_than_0_and_1_is_a_data_error(self, labels):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
+            auc(np.array([0.1, 0.2, 0.3, 0.4]), np.array(labels))
 
     def test_invariant_to_monotone_transform(self, rng):
         scores = rng.random(50)

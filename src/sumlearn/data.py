@@ -9,11 +9,14 @@ A cohort moves through two representations:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -133,42 +136,56 @@ class NormalizationStats:
     warnings: list = field(default_factory=list)
 
 
-def _read_rows(path, expected_header):
-    """Yield the stripped header of a CSV file, then (line number, row) of
-    each non-blank row.
-
-    A file that cannot be opened or is not UTF-8 text is a DataError.  The
-    header must start with ``expected_header`` (SchemaError otherwise, also
-    for an empty file), and a row with fewer fields or one the csv module
-    cannot parse (a field over its size limit) is a ParseError naming its
-    line.
-    """
-    n_fields = len(expected_header)
+@contextlib.contextmanager
+def _csv_file(path, expected_header):
+    """(file, csv reader, stripped header) of a CSV file whose header starts
+    with ``expected_header`` (SchemaError otherwise, also for an empty file).
+    A file that cannot be opened or is not UTF-8 text is a DataError.  Every
+    line break, also one inside a quoted field, reads as ``\n``."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, encoding="utf-8")  # universal newlines
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
+        reader = csv.reader(fh)
         try:
-            reader = csv.reader(fh)
             header = [h.strip() for h in next(reader, [])]
             if not header:
                 raise SchemaError(f"{path}: empty file")
-            if header[:n_fields] != expected_header:
+            if header[:len(expected_header)] != expected_header:
                 raise SchemaError(
                     f"{path}: expected header {expected_header}, got {header}")
-            yield header
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < n_fields:
-                    raise ParseError(f"expected {n_fields} fields, got {len(row)}",
-                                     line=line_no)
-                yield line_no, row
+            yield fh, reader, header
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
+        except csv.Error as exc:  # in the header
             raise ParseError(str(exc), line=reader.line_num) from None
+
+
+def _records(reader, n_fields, offset=0, last=math.inf):
+    """(line, row) of each record of ``reader`` with a non-blank field, up to
+    the one that reads physical line ``last``; its line is the last one it
+    reads, plus ``offset``.  A record with fewer than ``n_fields`` fields, or
+    one the csv module cannot parse (a field over its size limit), is a
+    ParseError naming its line."""
+    try:
+        for row in reader:
+            if any(map(str.strip, row)):
+                if len(row) < n_fields:
+                    raise ParseError(f"expected {n_fields} fields, got {len(row)}",
+                                     line=offset + reader.line_num)
+                yield offset + reader.line_num, row
+            if reader.line_num >= last:
+                return
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=offset + reader.line_num) from None
+
+
+def _read_rows(path, expected_header):
+    """Yield the stripped header of a CSV file, then its ``_records``."""
+    with _csv_file(path, expected_header) as (_, reader, header):
+        yield header
+        yield from _records(reader, len(expected_header))
 
 
 @dataclass
@@ -185,13 +202,17 @@ class _Series:
     value: np.ndarray
 
 
+class _Coder(dict):
+    """A dict that gives each key it lacks the next free code."""
+
+    def __missing__(self, key):
+        self[key] = code = len(self)
+        return code
+
+
 def _codes(strings, code_of):
-    """The code of each string in ``code_of``, which first gives each string
-    it does not hold the next free code."""
-    for s in dict.fromkeys(strings):
-        code_of.setdefault(s, len(code_of))
-    return np.fromiter(map(code_of.__getitem__, strings), dtype=np.intp,
-                       count=len(strings))
+    """The code of each string in ``code_of``, a ``_Coder``."""
+    return np.fromiter(map(code_of.__getitem__, strings), np.intp, len(strings))
 
 
 def _names(code_of, codes):
@@ -211,133 +232,171 @@ def _joined(parts):
     return joined
 
 
-def _parse_chunk(text, T, code_of):
-    """(patient codes, variable codes, hours, values) of the rows in ``text``,
-    whole lines of timeseries.csv after its header, each string coded in
-    ``code_of``; None for a quote, a separator numpy's number parser alone
-    skips as whitespace (Python's int() and float() reject it), a non-finite
-    value or an hour outside [1, T].  numpy's parse errors propagate."""
+def _row_error(row, line, T, fixed):
+    """The error of the first check that ``row`` of timeseries.csv, on
+    ``line``, fails, or None: an integer hour, a finite value, an hour in
+    [1, T] and, with ``fixed``, a variable in it."""
+    try:
+        hour = int(row[2])
+    except ValueError:
+        return ParseError(f"bad hour {row[2]!r}", line=line)
+    try:
+        value = float(row[3])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        return ParseError(f"bad value {row[3]!r} (not a finite number)", line=line)
+    if not 1 <= hour <= T:
+        return RangeError(f"line {line}: hour {hour} outside [1, {T}] "
+                          f"for patient {row[0].strip()}")
+    if fixed is not None and row[1].strip() not in fixed:
+        return SchemaError(f"line {line}: unknown variable {row[1].strip()!r}")
+    return None
+
+
+def _passes(first_hour, last_hour, values, variables, T, fixed):
+    """Whether rows with hours from ``first_hour`` to ``last_hour``, these
+    values and these variable strings all pass ``_row_error``'s checks."""
+    return (1 <= first_hour and last_hour <= T and np.isfinite(values).all()
+            and (fixed is None or all(v.strip() in fixed for v in set(variables))))
+
+
+def _numpy_rows(text, line, T, fixed, code_of):
+    """``_csv_rows`` of ``text`` read by numpy's C parser, or None unless it
+    reads one row per line as the csv module would, and every row passes its
+    checks.  A quote, a separator numpy alone skips as whitespace, a line that
+    may hold a field over the csv module's size limit, a blank line, a
+    spelling only Python's parser takes (``1_0``, non-ASCII digits) or a bad
+    row leaves the text to the csv module."""
     if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
         return None
-    table = np.loadtxt(
-        io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
-        dtype=_SERIES_DTYPE, comments=None, ndmin=1,
-    )
-    hour, value = table["hour"], table["value"]
-    if not (np.isfinite(value).all() and 1 <= hour.min() and int(hour.max()) <= T):
+    # a line over the limit holds an aligned block of limit // 2 characters
+    block = max(csv.field_size_limit() // 2, 1)
+    if any(text.find("\n", k, k + block) < 0
+           for k in range(0, len(text) - block + 1, block)):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
+                           dtype=_SERIES_DTYPE, comments=None, ndmin=1)
+    except (ValueError, Warning):  # Warning: see _read_series
+        return None
+    n, hour, value = len(table), table["hour"], table["value"]
+    if (n != text.count("\n") + (not text.endswith("\n")) or not _passes(
+            hour.min(), int(hour.max()), value, table["variable"], T, fixed)):
         return None
     return (_codes(table["patient"].tolist(), code_of[0]),
             _codes(table["variable"].tolist(), code_of[1]),
-            hour.copy(), value.copy())
+            hour.copy(), value.copy(), range(line, line + n), line + n, None)
 
 
-def _read_series_columns(path, T, fixed):
-    """The rows of ``timeseries.csv`` read by numpy's C parser in chunks of
-    whole lines, or None when the row reader might read or judge any of them
-    otherwise: a header that ``_read_rows`` rejects, any quote after it (the
-    csv module parses every quoted field), a non-UTF-8 byte, a byte numpy
-    skips as whitespace but Python does not, any row numpy cannot parse
-    (Python's parser also takes ``1_0`` and non-ASCII digits), and any row
-    the row reader rejects: a non-finite value, an hour outside [1, T], an
-    unknown variable or a repeated (patient, variable, hour).
-
-    A chunk is at least ``_CHUNK_CHARS`` characters, split into lines as
-    numpy splits a file (universal newlines).  It keeps only its rows' codes,
-    hours and values, so the strings numpy makes for its cells die with it.
-    """
+def _columns(rows, T, fixed, code_of):
+    """(patient codes, variable codes, hours, values) of timeseries.csv
+    ``rows``, each string coded in ``code_of``, or None when one is short or
+    fails ``_row_error``'s checks."""
     try:
-        next(_read_rows(path, SERIES_HEADER))
-    except DataError:
+        hours = list(map(int, map(itemgetter(2), rows)))
+        values = np.fromiter(map(float, map(itemgetter(3), rows)), float, len(rows))
+    except (IndexError, ValueError):
         return None
-    code_of = ({}, {})  # provisional code of each raw patient, variable string
-    columns = ([], [], [], [])  # per chunk: patient, variable codes, hour, value
+    patients, variables = (list(map(itemgetter(k), rows)) for k in (0, 1))
+    if not _passes(min(hours, default=1), max(hours, default=1), values, variables,
+                   T, fixed):
+        return None
+    return (_codes(patients, code_of[0]), _codes(variables, code_of[1]),
+            np.array(hours, dtype=np.int64), values)
+
+
+def _csv_rows(text, fh, line, T, fixed, code_of):
+    """(patient codes, variable codes, hours, values, line of each row, next
+    line, error) of the records that start in ``text``, whole lines of
+    timeseries.csv from ``line`` on, read by the csv module; a quoted field
+    that runs on past ``text`` reads on from ``fh``.  The rows stop before
+    the first bad one, whose error is returned (None if there is none)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            # before numpy 2 an hour such as "1.0" warns
-            warnings.simplefilter("error")
-            next(csv.reader(fh))  # the header record, judged above
-            while text := fh.read(_CHUNK_CHARS) + fh.readline():
-                if text.count("\n") == len(text):  # blank lines, which numpy skips
-                    continue
-                parts = _parse_chunk(text, T, code_of)
-                if parts is None:
-                    return None
-                for column, part in zip(columns, parts):
-                    column.append(part)
-    except (OSError, ValueError, Warning):
+        rows = list(reader)
+    except csv.Error:
+        rows = [[]]
+    at, error = range(line, line + len(rows)), None
+    # record by record: multi-line, short and bad rows, the csv module's errors
+    # and a last field that ends in a line break, so may run on past the text
+    if (reader.line_num != len(rows) or rows[-1][-1:] and rows[-1][-1].endswith("\n")
+            or (columns := _columns(rows, T, fixed, code_of)) is None):
+        lines = io.StringIO(text, newline="").readlines()
+        reader = csv.reader(itertools.chain(lines, fh))
+        rows, at = [], []
+        try:
+            for row_line, row in _records(reader, 4, line - 1, len(lines)):
+                rows.append(row)
+                at.append(row_line)
+        except ParseError as exc:
+            error = exc
+        columns = _columns(rows, T, fixed, code_of)
+    if columns is None:  # keep the rows before the first bad one
+        k, error = next((k, e) for k, e in enumerate(map(
+            _row_error, rows, at, itertools.repeat(T), itertools.repeat(fixed))) if e)
+        rows, at = rows[:k], at[:k]
+        columns = _columns(rows, T, fixed, code_of)
+    return (*columns, at, line + reader.line_num, error)
+
+
+def _first_repeat(p, v, hour, P, D):
+    """(the first row whose (patient, variable, hour) an earlier row has, the
+    first row that has it), or None."""
+    H = int(hour.max(initial=0))
+    if P * D * H <= np.iinfo(np.int64).max:  # sort the flat cells of (P, D, H)
+        key = p * D
+        key += v
+        key *= H
+        key += hour
+        key.sort()
+        if not (key[1:] == key[:-1]).any():
+            return None
+    order = np.lexsort((hour, v, p))  # stable: a repeated cell's rows in file order
+    repeat = np.ones(len(order) - 1, dtype=bool)
+    for column in (p, v, hour):
+        column = column[order]
+        repeat &= column[1:] == column[:-1]
+    if not repeat.any():
         return None
-    if not columns[0]:
-        return None
+    second = order[1:][repeat].min()
+    same = (p == p[second]) & (v == v[second]) & (hour == hour[second])
+    return second, np.flatnonzero(same)[0]
+
+
+def _read_series(path, T, fixed):
+    """The rows of ``timeseries.csv`` in chunks of at least ``_CHUNK_CHARS``
+    characters of whole lines, each read by numpy's C parser (``_numpy_rows``)
+    or else the csv module.  A chunk keeps only its rows' codes, hours and
+    values, so the strings made for its fields die with it.  The first bad
+    row in file order raises the error that names it: a malformed row, a
+    non-finite value, an hour outside [1, T], a variable outside ``fixed``
+    (if given) or a repeated (patient, variable, hour)."""
+    code_of = (_Coder(), _Coder())  # provisional code of each raw patient, variable
+    # per chunk: patient, variable codes, hour, value, and the line of each row
+    columns = tuple([np.empty(0, t)] for t in (np.intp, np.intp, np.int64, float))
+    lines, error = [], None
+    with _csv_file(path, SERIES_HEADER) as (fh, reader, _), warnings.catch_warnings():
+        warnings.simplefilter("error")  # before numpy 2 an hour "1.0" warns
+        line = reader.line_num + 1
+        while error is None and (text := fh.read(_CHUNK_CHARS) + fh.readline()):
+            *rows, at, line, error = (_numpy_rows(text, line, T, fixed, code_of)
+                                      or _csv_rows(text, fh, line, T, fixed, code_of))
+            for column, part in zip((*columns, lines), (*rows, at)):
+                column.append(part)
     p, v, hour, value = map(_joined, columns)
     patients, p = _names(code_of[0], p)  # rebinding frees the provisional codes
     variables, v = _names(code_of[1], v)
-    series = _Series(patients, p, variables, v, hour, value)
-    if fixed is not None and not set(series.variables) <= set(fixed):
-        return None
-    # the duplicate key below must not wrap around in int64
-    if len(series.patients) * len(series.variables) * T > np.iinfo(np.int64).max:
-        return None
-    key = _flat_cells(series.p.copy(), series.v, series.hour,
-                      len(series.variables), T)
-    key.sort()
-    if (key[1:] == key[:-1]).any():
-        return None
-    return series
-
-
-def _flat_cells(rows, variables, hours, D, T):
-    """The flat index ``(rows * D + variables) * T + hours - 1`` of each
-    (row, variable, hour) cell of an (N, D, T) array, computed in place in
-    ``rows``, so that it takes no array beside it."""
-    rows *= D
-    rows += variables
-    rows *= T
-    rows += hours
-    rows -= 1
-    return rows
-
-
-def _read_series_rows(path, T, fixed):
-    """The rows of ``timeseries.csv`` read and checked one by one, so that
-    the first bad row raises the error that names it."""
-    line_of = {}  # (pid, var, hour) -> line
-    values = []
-    names = {}  # one string object per distinct id and name, shared by the keys
-    rows = _read_rows(path, SERIES_HEADER)
-    next(rows)  # the header
-    for line_no, row in rows:
-        pid, var = row[0].strip(), row[1].strip()
-        pid, var = names.setdefault(pid, pid), names.setdefault(var, var)
-        try:
-            hour = int(row[2])
-        except ValueError:
-            raise ParseError(f"bad hour {row[2]!r}", line=line_no) from None
-        try:
-            value = float(row[3])
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ParseError(f"bad value {row[3]!r} (not a finite number)",
-                             line=line_no)
-        if not 1 <= hour <= T:
-            raise RangeError(
-                f"line {line_no}: hour {hour} outside [1, {T}] for patient {pid}"
-            )
-        if fixed is not None and var not in fixed:
-            raise SchemaError(f"line {line_no}: unknown variable {var!r}")
-        key = (pid, var, hour)
-        if key in line_of:
-            raise ConflictError(
-                f"duplicate ({pid}, {var}, {hour}) at lines "
-                f"{line_of[key]} and {line_no}"
-            )
-        line_of[key] = line_no
-        values.append(value)
-    pids, variables, hours = zip(*line_of) if line_of else ((), (), ())
-    code_of = ({}, {})
-    return _Series(*_names(code_of[0], _codes(pids, code_of[0])),
-                   *_names(code_of[1], _codes(variables, code_of[1])),
-                   np.array(hours, dtype=np.int64), np.array(values, dtype=float))
+    repeat = _first_repeat(p, v, hour, len(patients), len(variables))
+    if repeat is not None:
+        second, first = repeat
+        line_of = list(itertools.chain.from_iterable(lines))
+        raise ConflictError(
+            f"duplicate ({patients[p[second]]}, {variables[v[second]]}, "
+            f"{hour[second]}) at lines {line_of[first]} and {line_of[second]}")
+    if error is not None:
+        raise error
+    return _Series(patients, p, variables, v, hour, value)
 
 
 def ingest_csv(
@@ -380,10 +439,9 @@ def ingest_csv(
             raise ConflictError(f"duplicate label row for patient {pid}")
         label_of[pid] = lab
 
-    # time series: the row reader runs only when the columnar one declines
+    # time series
     fixed = list(variables) if variables is not None else None
-    series = (_read_series_columns(timeseries_path, T, fixed)
-              or _read_series_rows(timeseries_path, T, fixed))
+    series = _read_series(timeseries_path, T, fixed)
     variable_names = fixed if fixed is not None else series.variables
 
     # static
@@ -434,7 +492,12 @@ def ingest_csv(
                       dtype=np.intp)
     var_of = np.array([var_index[v] for v in series.variables], dtype=np.intp)
     values = series_array(N, D, T)
-    cell = _flat_cells(row_of[series.p], var_of[series.v], series.hour, D, T)
+    # the flat index (row * D + variable) * T + hour - 1 of each cell, from one
+    # gather in a (patient, variable) table, so that no other row-long array is made
+    cell = (row_of[:, None] * D + var_of)[series.p, series.v]
+    cell *= T
+    cell += series.hour
+    cell -= 1
     kept = slice(None) if (row_of >= 0).all() else (row_of >= 0)[series.p]
     values.reshape(-1)[cell[kept]] = series.value[kept]
 

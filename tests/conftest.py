@@ -1,10 +1,13 @@
+import math
 from functools import partial
 
 import numpy as np
 import pytest
 
 import sumlearn.summaries
-from sumlearn.data import ClinicalBatch
+from sumlearn.data import (SERIES_HEADER, ClinicalBatch, _Coder, _codes, _names,
+                           _read_rows, _Series)
+from sumlearn.errors import ConflictError, ParseError, RangeError, SchemaError
 from sumlearn.summaries import (
     EVER_MEASURED,
     FIRST_MEASURED,
@@ -69,6 +72,48 @@ s_mean, s_variance, s_frac_above, s_frac_below, s_slope = (
     for i in (EVER_MEASURED, INDICATOR_MEAN, INDICATOR_VARIANCE, SWITCH_COUNT,
               FIRST_MEASURED, LAST_MEASURED, SLOPE_STDERR)
 )
+
+
+def read_series_rows(path, T, fixed):
+    """The rows of ``timeseries.csv`` read and checked one by one, so that
+    the first bad row raises the error that names it: the reference that
+    ``sumlearn.data._read_series``, which reads in chunks, must agree with."""
+    line_of = {}  # (pid, var, hour) -> line
+    values = []
+    rows = _read_rows(path, SERIES_HEADER)
+    next(rows)  # the header
+    for line_no, row in rows:
+        pid, var = row[0].strip(), row[1].strip()
+        try:
+            hour = int(row[2])
+        except ValueError:
+            raise ParseError(f"bad hour {row[2]!r}", line=line_no) from None
+        try:
+            value = float(row[3])
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ParseError(f"bad value {row[3]!r} (not a finite number)",
+                             line=line_no)
+        if not 1 <= hour <= T:
+            raise RangeError(
+                f"line {line_no}: hour {hour} outside [1, {T}] for patient {pid}"
+            )
+        if fixed is not None and var not in fixed:
+            raise SchemaError(f"line {line_no}: unknown variable {var!r}")
+        key = (pid, var, hour)
+        if key in line_of:
+            raise ConflictError(
+                f"duplicate ({pid}, {var}, {hour}) at lines "
+                f"{line_of[key]} and {line_no}"
+            )
+        line_of[key] = line_no
+        values.append(value)
+    pids, variables, hours = zip(*line_of) if line_of else ((), (), ())
+    code_of = (_Coder(), _Coder())
+    return _Series(*_names(code_of[0], _codes(pids, code_of[0])),
+                   *_names(code_of[1], _codes(variables, code_of[1])),
+                   np.array(hours, dtype=np.int64), np.array(values, dtype=float))
 
 
 def random_batch(rng, n=8, d=3, t=12, p_obs=0.8):

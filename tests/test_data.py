@@ -37,7 +37,7 @@ from sumlearn.errors import (
 from sumlearn.model import ModelParams, TrainConfig, feature_names_for, save_checkpoint
 from sumlearn.summaries import N_SUMMARIES, SummaryParams
 
-from conftest import random_batch
+from conftest import random_batch, read_series_rows
 
 
 def write_cohort(tmp_path, series_rows, static_rows, label_rows,
@@ -216,11 +216,11 @@ def test_cohort_errors_name_their_cause(tmp_path, name, text, kwargs, error,
     assert getattr(err.value, "line", None) == line
 
 
-# ------------------------------------------- columnar reader vs row reader
+# ------------------------------------- chunked reader vs the row reference
 #
-# ingest_csv reads timeseries.csv with numpy's columnar parser and hands any
-# file that parser cannot vouch for to the row reader; either way the result
-# or the error must be the row reader's own.
+# ingest_csv reads timeseries.csv in chunks of lines, each parsed by numpy's C
+# parser or by the csv module; either way the result or the error must be the
+# one of conftest.read_series_rows, which reads and checks row by row.
 
 SERIES_HEADER = "patient_id,variable,hour,value\n"
 EDGE_T = 12
@@ -250,13 +250,13 @@ def write_files(directory, files):
             for name in ("timeseries.csv", "static.csv", "labels.csv")]
 
 
-def ingest_outcome(paths, T, variables=None, columnar=True):
+def ingest_outcome(paths, T, variables=None, reference=False):
     """ingest_csv's RawCohort as comparable values (the arrays bit for bit,
-    and the names), or the type and message of its error.  Without
-    ``columnar`` the columnar reader declines every file."""
+    and the names), or the type and message of its error.  With
+    ``reference`` the row reference reads timeseries.csv."""
     with pytest.MonkeyPatch.context() as mp:
-        if not columnar:
-            mp.setattr(sumlearn.data, "_read_series_columns", lambda *args: None)
+        if reference:
+            mp.setattr(sumlearn.data, "_read_series", read_series_rows)
         try:
             raw = ingest_csv(*paths, T, variables=variables)
         except SumlearnError as exc:
@@ -266,10 +266,13 @@ def ingest_outcome(paths, T, variables=None, columnar=True):
             raw.static_names)
 
 
-def series_bits(series):
-    """A _Series as comparable values (each array's dtype and bytes), or None."""
-    if series is None:
-        return None
+def series_outcome(read, path, T, variables=None):
+    """The _Series that ``read`` gives as comparable values (each array's
+    dtype and bytes), or the type and message of its error."""
+    try:
+        series = read(path, T, variables)
+    except SumlearnError as exc:
+        return type(exc), str(exc)
     return (series.patients, series.variables,
             [(a.dtype.str, a.tobytes())
              for a in (series.p, series.v, series.hour, series.value)])
@@ -277,8 +280,8 @@ def series_bits(series):
 
 @contextlib.contextmanager
 def chunks_of(chars):
-    """The columnar reader parses chunks of lines of at least ``chars``
-    characters; at 0 each line is a chunk of its own."""
+    """The reader parses chunks of lines of at least ``chars`` characters;
+    at 0 each line is a chunk of its own."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sumlearn.data, "_CHUNK_CHARS", chars)
         yield
@@ -290,139 +293,218 @@ def _patients(*ids):
 
 P12 = _patients("p1", "p2")
 BASIC = SERIES_HEADER + "".join(BASIC_SERIES)
-# id, timeseries.csv, (labels, statics), variables, read by the columnar reader
+# id, timeseries.csv, (labels, statics), variables
 EDGE_CASES = [
     ("quoted_comma", SERIES_HEADER + '"p,1",hr,1,80\n"p,1",sbp,2,120\np2,hr,1,70\n',
-     _patients("p,1", "p2"), None, False),
+     _patients("p,1", "p2"), None),
     ("quoted_newline", SERIES_HEADER + '"p\n1",hr,1,80\np2,hr,2,70\n',
-     _patients("p\n1", "p2"), None, False),
+     _patients("p\n1", "p2"), None),
+    # every line break reads as \n, also one inside a quoted field
+    ("quoted_crlf", SERIES_HEADER + '"p\r\n1",hr,1,80\r\n"p\r2",hr,2,70\r\n',
+     _patients("p\n1", "p\n2"), None),
     ("inner_quote", SERIES_HEADER + 'p"1,hr,1,80\np2,hr,1,70\n',
-     _patients('p"1', "p2"), None, False),
+     _patients('p"1', "p2"), None),
     ("hash", SERIES_HEADER + "p#1,hr,1,80\np2,hr,1,70\n",
-     _patients("p#1", "p2"), None, True),
+     _patients("p#1", "p2"), None),
     ("line_breaks_of_str_splitlines", SERIES_HEADER
      + "p\x0b1,hr,1,80\np\x0c1,hr,1,8\np\x852,hr,1,70\np\u20282,sbp,2,5\n",
-     _patients("p\x0b1", "p\x0c1", "p\x852", "p\u20282"), None, True),
+     _patients("p\x0b1", "p\x0c1", "p\x852", "p\u20282"), None),
     ("crlf_padded_ids", " patient_id , variable,hour,value\r\n"
-     " p1 , hr ,1,80\r\np2,hr , 2 , 70 \r\n", P12, None, True),
+     " p1 , hr ,1,80\r\np2,hr , 2 , 70 \r\n", P12, None),
     ("extra_columns", SERIES_HEADER + "p1,hr,1,80,note\np2,sbp,3,70,a,b\n",
-     P12, None, True),
-    ("underscore_hour", SERIES_HEADER + "p1,hr,1_0,80\np2,hr,1,70\n", P12, None, False),
-    ("arabic_indic_hour", SERIES_HEADER + "p1,hr,٣,80\np2,hr,1,70\n",
-     P12, None, False),
-    ("blank_rows", SERIES_HEADER + "p1,hr,1,80\n\n,,,\np2,hr,1,70\n", P12, None, False),
-    ("one_row", SERIES_HEADER + "p1,hr,1,80\n", _patients("p1"), None, True),
+     P12, None),
+    ("underscore_hour", SERIES_HEADER + "p1,hr,1_0,80\np2,hr,1,70\n", P12, None),
+    ("arabic_indic_hour", SERIES_HEADER + "p1,hr,٣,80\np2,hr,1,70\n", P12, None),
+    ("blank_rows", SERIES_HEADER + "p1,hr,1,80\n\n,,,\np2,hr,1,70\n", P12, None),
+    ("one_row", SERIES_HEADER + "p1,hr,1,80\n", _patients("p1"), None),
     ("unlabelled", SERIES_HEADER + "p1,hr,1,80\np3,ghost,2,5\np2,hr,1,70\n",
-     P12, None, True),
-    ("permuted_variables", BASIC, P12, ["sbp", "hr"], True),
-    ("duplicate", BASIC + "p1,hr,1,85\n", P12, None, False),
-    ("hour_out_of_range", BASIC + "p2,hr,13,80\n", P12, None, False),
-    ("overflowing_value", BASIC + "p2,hr,2,1e500\n", P12, None, False),
-    ("float_hour", BASIC + "p2,hr,2.0,80\n", P12, None, False),
-    ("numpy_only_space", BASIC + "p2,hr,\x1c2,80\n", P12, None, False),
-    ("ragged_row", BASIC + "p2,hr,2\n", P12, None, False),
-    ("unknown_variable", BASIC, P12, ["hr"], False),
+     P12, None),
+    ("permuted_variables", BASIC, P12, ["sbp", "hr"]),
+    ("duplicate", BASIC + "p1,hr,1,85\n", P12, None),
+    ("hour_out_of_range", BASIC + "p2,hr,13,80\n", P12, None),
+    ("overflowing_value", BASIC + "p2,hr,2,1e500\n", P12, None),
+    ("float_hour", BASIC + "p2,hr,2.0,80\n", P12, None),
+    ("numpy_only_space", BASIC + "p2,hr,\x1c2,80\n", P12, None),
+    ("ragged_row", BASIC + "p2,hr,2\n", P12, None),
+    ("unknown_variable", BASIC, P12, ["hr"]),
     ("quoted_header", '"patient_id",variable,hour,value\n' + "".join(BASIC_SERIES),
-     P12, None, True),
+     P12, None),
     ("header_with_quoted_newline",
      'patient_id,variable,hour,value,"\np9,hr,1,5,"\np1,hr,1,80\n',
-     _patients("p1", "p9"), None, True),
-    ("not_utf8", BASIC.encode() + b"p2,hr,2,8\xff0\n", P12, None, False),
+     _patients("p1", "p9"), None),
+    ("not_utf8", BASIC.encode() + b"p2,hr,2,8\xff0\n", P12, None),
     ("quoted_everything", '"patient_id","variable","hour","value"\n'
-     '"p1","hr","1","80"\n"p2","sbp","2","70"\n', P12, None, False),
-    ("header_only", SERIES_HEADER, P12, None, False),
-    ("empty", "", P12, None, False),
+     '"p1","hr","1","80"\n"p2","sbp","2","70"\n', P12, None),
+    ("header_only", SERIES_HEADER, P12, None),
+    ("empty", "", P12, None),
 ]
 
 
 EDGE_PARAMETERS = pytest.mark.parametrize(
-    "series, patients, variables, columnar", [case[1:] for case in EDGE_CASES],
+    "series, patients, variables", [case[1:] for case in EDGE_CASES],
     ids=[case[0] for case in EDGE_CASES])
 
 
-def columnar_agrees_with_rows(directory, series, patients, variables, columnar):
-    """The columnar reader reads the file exactly when ``columnar``, and
-    then as the row reader does; ingest_csv gives the same either way."""
+def reads_as_the_reference(directory, series, patients, variables):
+    """The chunked reader gives the row reference's _Series or error, without
+    a warning, and ingest_csv the same outcome either way."""
     paths = write_files(directory, cohort_files(series, *patients))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        read = sumlearn.data._read_series_columns(paths[0], EDGE_T, variables)
+        read = series_outcome(sumlearn.data._read_series, paths[0], EDGE_T, variables)
     assert not caught
-    assert (read is not None) == columnar
-    if read is not None:
-        assert series_bits(read) == series_bits(
-            sumlearn.data._read_series_rows(paths[0], EDGE_T, variables))
+    assert read == series_outcome(read_series_rows, paths[0], EDGE_T, variables)
     assert (ingest_outcome(paths, EDGE_T, variables)
-            == ingest_outcome(paths, EDGE_T, variables, columnar=False))
+            == ingest_outcome(paths, EDGE_T, variables, reference=True))
 
 
 @EDGE_PARAMETERS
 def test_columnar_reader_agrees_with_row_reader(tmp_path, series, patients,
-                                                variables, columnar):
-    columnar_agrees_with_rows(tmp_path, series, patients, variables, columnar)
+                                                variables):
+    reads_as_the_reference(tmp_path, series, patients, variables)
 
 
 # No file here fills one real chunk; in chunks of one line each, a boundary
 # falls between every two lines.
 @EDGE_PARAMETERS
 def test_columnar_reader_agrees_in_chunks_of_one_line(tmp_path, series, patients,
-                                                      variables, columnar):
+                                                      variables):
     with chunks_of(0):
-        columnar_agrees_with_rows(tmp_path, series, patients, variables, columnar)
+        reads_as_the_reference(tmp_path, series, patients, variables)
 
 
-# id, timeseries.csv, read by the columnar reader.  Each file is read at every
-# chunk size from 0 to its length, so that a chunk boundary falls at each
-# place: before and after a quoted newline, inside a CRLF pair, between blank
-# lines and between the two rows of a repeated (patient, variable, hour).
+# id, timeseries.csv.  Each file is read at every chunk size from 0 to its
+# length, so that a chunk boundary falls at each place: before and after a
+# quoted newline (also in a row that reads as whole without the rest of its
+# quoted field), inside a CRLF pair, between blank lines and between the two
+# rows of a repeated (patient, variable, hour).
 BOUNDARY_CASES = [
-    ("quoted_newline", BASIC + '"p\n1",hr,1,80\np2,hr,2,70\n', False),
-    ("crlf", SERIES_HEADER + "p1,hr,1,80\r\np2,sbp,2,70\r\np1,sbp,3,5\r\n", True),
-    ("lone_cr", SERIES_HEADER + "p1,hr,1,80\rp2,sbp,2,70\rp1,sbp,3,5\r", True),
-    ("blank_lines", SERIES_HEADER + "\n" + "\n\n".join(BASIC_SERIES) + "\n", True),
-    ("repeated_key_adjacent", BASIC + "p2,sbp,4,111\n", False),
-    ("repeated_key_apart", BASIC + "p1,hr,1,85\n", False),
+    ("quoted_newline", BASIC + '"p\n1",hr,1,80\np2,hr,2,70\n'),
+    ("quoted_newline_in_extra_column", BASIC + 'p2,hr,2,70,"a\nb"\np2,hr,3,71\n'),
+    ("repeated_key_after_quoted_newlines", BASIC + '"p\n1",hr,1,80\n"p\n1",hr,1,85\n'),
+    ("crlf", SERIES_HEADER + "p1,hr,1,80\r\np2,sbp,2,70\r\np1,sbp,3,5\r\n"),
+    ("lone_cr", SERIES_HEADER + "p1,hr,1,80\rp2,sbp,2,70\rp1,sbp,3,5\r"),
+    ("blank_lines", SERIES_HEADER + "\n" + "\n\n".join(BASIC_SERIES) + "\n"),
+    ("repeated_key_adjacent", BASIC + "p2,sbp,4,111\n"),
+    ("repeated_key_apart", BASIC + "p1,hr,1,85\n"),
+    ("repeated_key_after_blank_lines",
+     SERIES_HEADER + "\n" + "\n\n".join(BASIC_SERIES) + "\np1,hr,1,85\n"),
 ]
 
 
-@pytest.mark.parametrize("series, columnar", [case[1:] for case in BOUNDARY_CASES],
+@pytest.mark.parametrize("series", [case[1] for case in BOUNDARY_CASES],
                          ids=[case[0] for case in BOUNDARY_CASES])
-def test_every_chunk_boundary_reads_alike(tmp_path, series, columnar):
+def test_every_chunk_boundary_reads_alike(tmp_path, series):
     paths = write_files(tmp_path, cohort_files(series, *P12))
-    expected = (series_bits(sumlearn.data._read_series_rows(paths[0], EDGE_T, None))
-                if columnar else None)
+    expected = series_outcome(read_series_rows, paths[0], EDGE_T)
     for chars in range(len(series) + 1):
         with chunks_of(chars):
-            read = sumlearn.data._read_series_columns(paths[0], EDGE_T, None)
-        assert series_bits(read) == expected, chars
+            read = series_outcome(sumlearn.data._read_series, paths[0], EDGE_T)
+        assert read == expected, chars
+
+
+# A ragged row after a patient id whose quotes span a line break: the error
+# names the physical line of the ragged row, 5 here, not its record, 4.
+@pytest.mark.parametrize("name, text, message", [
+    ("timeseries.csv", SERIES_HEADER + '"p\n1",hr,1,80\np2,hr,1,70\np2,hr\n',
+     "line 5: expected 4 fields, got 2"),
+    ("labels.csv", 'patient_id,label\n"p\n1",1\np2,0\np3\n',
+     "line 5: expected 2 fields, got 1"),
+], ids=["series", "labels"])
+def test_a_parse_error_names_the_physical_line(tmp_path, name, text, message):
+    paths = write_files(tmp_path, cohort_files(BASIC, *P12))
+    (tmp_path / name).write_text(text)
+    expected = (ParseError, message)
+    for chars in (sumlearn.data._CHUNK_CHARS, 0):
+        with chunks_of(chars):
+            assert ingest_outcome(paths, EDGE_T) == expected
+    assert ingest_outcome(paths, EDGE_T, reference=True) == expected
 
 
 @pytest.mark.parametrize("name, text", [
     ("timeseries.csv", SERIES_HEADER + "p1,hr,1,80\n\"{}\",hr,1,80\n"),
+    ("timeseries.csv", SERIES_HEADER + "p1,hr,1,80\n{},hr,1,80\n"),
     ("timeseries.csv", "patient_id,variable,hour,value,{}\np1,hr,1,80\n"),
     ("labels.csv", "patient_id,label\np1,1\n{},0\n"),
-], ids=["quoted_series_id", "series_header", "label_id"])
+], ids=["quoted_series_id", "unquoted_series_id", "series_header", "label_id"])
 def test_field_over_the_csv_size_limit_is_a_parse_error(tmp_path, name, text):
     paths = write_files(tmp_path, cohort_files(BASIC, *P12))
     limit = csv.field_size_limit()
     line = text.count("\n", 0, text.index("{}")) + 1
     (tmp_path / name).write_text(text.format("x" * (limit + 1)))
     expected = (ParseError, f"line {line}: field larger than field limit ({limit})")
-    assert ingest_outcome(paths, EDGE_T) == expected
-    assert ingest_outcome(paths, EDGE_T, columnar=False) == expected
+    for chars in (sumlearn.data._CHUNK_CHARS, 0):
+        with chunks_of(chars):
+            assert ingest_outcome(paths, EDGE_T) == expected
+    assert ingest_outcome(paths, EDGE_T, reference=True) == expected
 
 
-@pytest.mark.parametrize("T, columnar", [
-    (10**18, True), (3 * 10**18, False), (10**20, False)])
-def test_t_too_large_for_the_series_array_is_a_data_error(tmp_path, T, columnar):
-    # numpy refuses each (2, 2, T) shape before allocating anything; the
-    # columnar reader declines where the 2 x 2 x T duplicate keys would not
-    # fit in int64
+# An hour and a value as written, and what Python's int() and float() make of
+# them: the reader takes every spelling they take, quoted or not, and no other.
+SPELLINGS = [("1_0", "80"), ("٣", "80"), (" 2 ", " 7.5 "), ("+2", "+7e1"),
+             ("1.0", "80"), ("2", "abc"), ("2", ""), ("2", "1_0"), ("2", "٣"),
+             ("2", "inf"), ("2", "-Infinity"), ("2", "nan"), ("2", "1e500"),
+             ("2", "0x10"), ("x", "80"), ("0", "80"), ("13", "80")]
+
+
+def _spelled(hour, value):
+    """(RawCohort's value of p2's hr at ``hour``, or the type and message of
+    the error) that Python's int() and float() make of the row p2,hr,hour,
+    value on line 7 of BASIC, for T = EDGE_T."""
+    try:
+        h = int(hour)
+    except ValueError:
+        return ParseError, f"line 7: bad hour {hour!r}"
+    try:
+        v = float(value)
+    except ValueError:
+        v = np.nan
+    if not np.isfinite(v):
+        return ParseError, f"line 7: bad value {value!r} (not a finite number)"
+    if not 1 <= h <= EDGE_T:
+        return RangeError, f"line 7: hour {h} outside [1, {EDGE_T}] for patient p2"
+    return h, v
+
+
+@pytest.mark.parametrize("hour, value", SPELLINGS,
+                         ids=[f"{h.strip()}-{v.strip()}" for h, v in SPELLINGS])
+def test_hours_and_values_are_spelled_as_python_reads_them(tmp_path, hour, value):
+    expected = _spelled(hour, value)
+    for row in (f"p2,hr,{hour},{value}\n", f'"p2","hr","{hour}","{value}"\n'):
+        paths = write_files(tmp_path, cohort_files(BASIC + row, *P12))
+        reference = ingest_outcome(paths, EDGE_T, reference=True)
+        for chars in (sumlearn.data._CHUNK_CHARS, 0):
+            with chunks_of(chars):
+                assert ingest_outcome(paths, EDGE_T) == reference, (row, chars)
+        if isinstance(expected[0], int):
+            raw = ingest_csv(*paths, EDGE_T)
+            hr = raw.variable_names.index("hr")
+            assert raw.values[1, hr, expected[0] - 1] == expected[1]
+        else:
+            assert reference == expected
+
+
+@pytest.mark.parametrize("T", [10**18, 3 * 10**18, 10**20])
+def test_t_too_large_for_the_series_array_is_a_data_error(tmp_path, T):
+    # numpy refuses each (2, 2, T) shape before allocating anything
     paths = write_files(tmp_path, cohort_files(BASIC, *P12))
-    read = sumlearn.data._read_series_columns(paths[0], T, None)
-    assert (read is not None) == columnar
-    assert (ingest_outcome(paths, T) == ingest_outcome(paths, T, columnar=False)
+    assert (ingest_outcome(paths, T) == ingest_outcome(paths, T, reference=True)
             == (DataError, f"T = {T}: cannot allocate the (2, 2, {T}) series array"))
+
+
+# Hours so large that the flat (patient, variable, hour) cell index of a
+# 2 x 2 x 4e18 array wraps around in int64: the repeat check must not need it.
+@pytest.mark.parametrize("rows, expected", [
+    ("p1,hr,4000000000000000000,5\np2,hr,4000000000000000000,6\n",
+     (DataError, "T = 5000000000000000000: cannot allocate the (2, 2, "
+      "5000000000000000000) series array")),
+    ("p1,hr,4000000000000000000,5\np1,hr,4000000000000000000,6\n",
+     (ConflictError, "duplicate (p1, hr, 4000000000000000000) at lines 7 and 8")),
+], ids=["distinct", "repeated"])
+def test_repeat_check_takes_hours_beyond_the_flat_index(tmp_path, rows, expected):
+    paths = write_files(tmp_path, cohort_files(BASIC + rows, *P12))
+    assert (ingest_outcome(paths, 5 * 10**18)
+            == ingest_outcome(paths, 5 * 10**18, reference=True) == expected)
 
 
 def _quote_one_id(lines):
@@ -442,14 +524,26 @@ def _r_style(lines):
 
 
 # timeseries.csv as written by synth.write_cohort, then rewritten as other
-# writers quote it, and the reader each copy must reach
+# writers quote it
 QUOTINGS = [
-    ("plain", lambda lines: lines, True),
+    ("plain", lambda lines: lines),
     ("quoted_header", lambda lines: ['"patient_id"' + lines[0][len("patient_id"):],
-                                     *lines[1:]], True),
-    ("r_style", _r_style, False),
-    ("one_quoted_id", _quote_one_id, False),
+                                     *lines[1:]]),
+    ("r_style", _r_style),
+    ("one_quoted_id", _quote_one_id),
 ]
+
+
+def write_quoted(source, directory, rewrite):
+    """A copy of the cohort in ``source`` whose timeseries.csv is rewritten
+    line by line; its three paths."""
+    with open(source / "timeseries.csv", newline="") as fh:
+        lines = fh.readlines()  # each with its CRLF
+    directory.mkdir()
+    for file in ("static.csv", "labels.csv"):
+        (directory / file).write_bytes((source / file).read_bytes())
+    (directory / "timeseries.csv").write_bytes("".join(rewrite(lines)).encode())
+    return cohort_paths(directory)
 
 
 def test_realistic_quoting_reads_alike_across_many_chunks(tmp_path):
@@ -457,23 +551,15 @@ def test_realistic_quoting_reads_alike_across_many_chunks(tmp_path):
     batch, _ = sumlearn.synth.generate(spec)
     sumlearn.synth.write_cohort(batch, tmp_path / "synth")
     del batch
-    with open(tmp_path / "synth" / "timeseries.csv", newline="") as fh:
-        lines = fh.readlines()  # each with its CRLF
-    assert sum(map(len, lines)) > 8 * sumlearn.data._CHUNK_CHARS
-    outcomes = []
-    for name, rewrite, columnar in QUOTINGS:
-        directory = tmp_path / name
-        directory.mkdir()
-        for file in ("static.csv", "labels.csv"):
-            (directory / file).write_bytes((tmp_path / "synth" / file).read_bytes())
-        (directory / "timeseries.csv").write_bytes("".join(rewrite(lines)).encode())
-        paths = cohort_paths(directory)
-        read = sumlearn.data._read_series_columns(paths[0], 24, None)
-        assert (read is not None) == columnar, name
-        del read
-        outcomes.append(ingest_outcome(paths, 24))
+    assert ((tmp_path / "synth" / "timeseries.csv").stat().st_size
+            > 8 * sumlearn.data._CHUNK_CHARS)
+    outcomes = [ingest_outcome(write_quoted(tmp_path / "synth", tmp_path / name,
+                                            rewrite), 24)
+                for name, rewrite in QUOTINGS]
     assert len(outcomes[0]) > 2  # a RawCohort, not an error
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+    assert outcomes[-1] == ingest_outcome(cohort_paths(tmp_path / "one_quoted_id"),
+                                          24, reference=True)
 
 
 FUZZ_T = 6
@@ -561,11 +647,12 @@ def fuzz_checkpoint(tmp_path_factory):
 
 
 def read_alike_and_fail_typed(fuzz_checkpoint, files, variables):
-    """Both readers give the same RawCohort or error, and eval fails typed."""
+    """The reader and the row reference give the same RawCohort or error, and
+    eval fails typed."""
     with tempfile.TemporaryDirectory() as directory:
         paths = write_files(directory, files)
         assert (ingest_outcome(paths, FUZZ_T, variables)
-                == ingest_outcome(paths, FUZZ_T, variables, columnar=False))
+                == ingest_outcome(paths, FUZZ_T, variables, reference=True))
         read = ingest_outcome(paths, FUZZ_T, FUZZ_VARIABLES)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -623,22 +710,23 @@ def test_ingest_memory_per_series_row_is_bounded(tmp_path):
     assert peak / rows < INGEST_BYTES_PER_ROW
 
 
-# The row reader's tracemalloc peak per timeseries.csv row on the cohort below
-# (39,930 rows): 353 bytes when each row's key held its own patient id and
-# variable name strings, 246 when every key shares one string per distinct
-# id and name.  The bound lies halfway.
+# ingest_csv's tracemalloc peak per timeseries.csv row on an R-style copy of
+# the cohort below (39,930 rows), which the csv module reads in every chunk:
+# 247 bytes when a row-by-row reader, which held a tuple key per row, read
+# it, and 126 in chunks.  The bound is the one that reader had to meet.
 ROW_READER_BYTES_PER_ROW = 300
 
 
 def test_row_reader_memory_per_series_row_is_bounded(tmp_path):
     spec = sumlearn.synth.SynthSpec(n_examples=320, n_variables=6, T=24, seed=0)
     batch, _ = sumlearn.synth.generate(spec)
-    sumlearn.synth.write_cohort(batch, tmp_path)
+    sumlearn.synth.write_cohort(batch, tmp_path / "synth")
     rows = int(batch.M.sum())
     del batch
+    paths = write_quoted(tmp_path / "synth", tmp_path / "r_style", _r_style)
     tracemalloc.start()
     try:
-        sumlearn.data._read_series_rows(cohort_paths(tmp_path)[0], 24, None)
+        ingest_csv(*paths, T=24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -140,10 +140,9 @@ class NormalizationStats:
 def _csv_file(path, expected_header):
     """(file, csv reader, stripped header) of a CSV file whose header starts
     with ``expected_header`` (SchemaError otherwise, also for an empty file).
-    A file that cannot be opened or is not UTF-8 text is a DataError.  Every
-    line break, also one inside a quoted field, reads as ``\n``."""
+    A file that cannot be opened or is not UTF-8 text is a DataError."""
     try:
-        fh = open(path, encoding="utf-8")  # universal newlines
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     with fh:
@@ -232,128 +231,97 @@ def _joined(parts):
     return joined
 
 
-def _row_error(row, line, T, fixed):
-    """The error of the first check that ``row`` of timeseries.csv, on
-    ``line``, fails, or None: an integer hour, a finite value, an hour in
+def _checked(row, line, T, fixed):
+    """(hour, value) of ``row`` of timeseries.csv, on ``line``, or the error
+    of the first check it fails: an integer hour, a finite value, an hour in
     [1, T] and, with ``fixed``, a variable in it."""
     try:
         hour = int(row[2])
     except ValueError:
-        return ParseError(f"bad hour {row[2]!r}", line=line)
+        raise ParseError(f"bad hour {row[2]!r}", line=line) from None
     try:
         value = float(row[3])
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        return ParseError(f"bad value {row[3]!r} (not a finite number)", line=line)
+        raise ParseError(f"bad value {row[3]!r} (not a finite number)", line=line)
     if not 1 <= hour <= T:
-        return RangeError(f"line {line}: hour {hour} outside [1, {T}] "
-                          f"for patient {row[0].strip()}")
+        raise RangeError(f"line {line}: hour {hour} outside [1, {T}] "
+                         f"for patient {row[0].strip()}")
     if fixed is not None and row[1].strip() not in fixed:
-        return SchemaError(f"line {line}: unknown variable {row[1].strip()!r}")
-    return None
+        raise SchemaError(f"line {line}: unknown variable {row[1].strip()!r}")
+    return hour, value
 
 
-def _passes(first_hour, last_hour, values, variables, T, fixed):
-    """Whether rows with hours from ``first_hour`` to ``last_hour``, these
-    values and these variable strings all pass ``_row_error``'s checks."""
-    return (1 <= first_hour and last_hour <= T and np.isfinite(values).all()
-            and (fixed is None or all(v.strip() in fixed for v in set(variables))))
-
-
-def _numpy_rows(text, line, T, fixed, code_of):
-    """``_csv_rows`` of ``text`` read by numpy's C parser, or None unless it
-    reads one row per line as the csv module would, and every row passes its
-    checks.  A quote, a separator numpy alone skips as whitespace, a line that
-    may hold a field over the csv module's size limit, a blank line, a
-    spelling only Python's parser takes (``1_0``, non-ASCII digits) or a bad
-    row leaves the text to the csv module."""
-    if any(c in text for c in '"\x1c\x1d\x1e\x1f'):
-        return None
-    # a line over the limit holds an aligned block of limit // 2 characters
-    block = max(csv.field_size_limit() // 2, 1)
-    if any(text.find("\n", k, k + block) < 0
-           for k in range(0, len(text) - block + 1, block)):
-        return None
+def _at_once(text, line, T, fixed, code_of):
+    """``_csv_rows`` of ``text`` parsed in one call, by numpy's C parser when
+    it holds no quote and no separator numpy alone skips as whitespace, else
+    by the csv module; or None unless that reads one row per line, as the
+    csv module would, and every row passes ``_checked``.  A blank, short or
+    multi-line row, a line that may hold a field over the csv module's size
+    limit, a spelling only Python's parser takes (``1_0``, non-ASCII digits)
+    or a bad row leaves the text to ``_csv_rows``."""
     try:
-        table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
-                           dtype=_SERIES_DTYPE, comments=None, ndmin=1)
-    except (ValueError, Warning):  # Warning: see _read_series
-        return None
-    n, hour, value = len(table), table["hour"], table["value"]
-    if (n != text.count("\n") + (not text.endswith("\n")) or not _passes(
-            hour.min(), int(hour.max()), value, table["variable"], T, fixed)):
-        return None
-    return (_codes(table["patient"].tolist(), code_of[0]),
-            _codes(table["variable"].tolist(), code_of[1]),
-            hour.copy(), value.copy(), range(line, line + n), line + n, None)
-
-
-def _columns(rows, T, fixed, code_of):
-    """(patient codes, variable codes, hours, values) of timeseries.csv
-    ``rows``, each string coded in ``code_of``, or None when one is short or
-    fails ``_row_error``'s checks."""
-    try:
-        hours = list(map(int, map(itemgetter(2), rows)))
-        values = np.fromiter(map(float, map(itemgetter(3), rows)), float, len(rows))
-    except (IndexError, ValueError):
-        return None
-    patients, variables = (list(map(itemgetter(k), rows)) for k in (0, 1))
-    if not _passes(min(hours, default=1), max(hours, default=1), values, variables,
-                   T, fixed):
+        if not any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+            # a line over the limit holds an aligned block of limit // 2 characters
+            block = max(csv.field_size_limit() // 2, 1)
+            if any(text.find("\n", k, k + block) < 0
+                   for k in range(0, len(text) - block + 1, block)):
+                return None
+            table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
+                               dtype=_SERIES_DTYPE, comments=None, ndmin=1)
+            # the table's own columns: a list or a string per line beside them
+            # would leave holes in the heap that raise a repeated eval's peak RSS
+            patients, variables = table["patient"], table["variable"]
+            hour, value = table["hour"].copy(), table["value"].copy()
+            n_lines = text.count("\n") + (not text.endswith("\n"))
+        else:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            rows = list(reader)
+            if rows[-1][-1].endswith("\n"):  # a quoted field may run on past the text
+                return None
+            patients, variables, hours, values = (list(map(itemgetter(k), rows))
+                                                  for k in range(4))
+            hour = np.array(list(map(int, hours)), dtype=np.int64)
+            value = np.fromiter(map(float, values), float, len(values))
+            n_lines = reader.line_num
+    except (csv.Error, IndexError, ValueError, OverflowError, Warning):
+        return None  # Warning: see _read_series
+    n = len(hour)
+    if not (n == n_lines and 1 <= hour.min() and int(hour.max()) <= T
+            and np.isfinite(value).all()
+            and (fixed is None or all(v.strip() in fixed for v in set(variables)))):
         return None
     return (_codes(patients, code_of[0]), _codes(variables, code_of[1]),
-            np.array(hours, dtype=np.int64), values)
+            hour, value, range(line, line + n), line + n, None)
 
 
 def _csv_rows(text, fh, line, T, fixed, code_of):
     """(patient codes, variable codes, hours, values, line of each row, next
     line, error) of the records that start in ``text``, whole lines of
-    timeseries.csv from ``line`` on, read by the csv module; a quoted field
-    that runs on past ``text`` reads on from ``fh``.  The rows stop before
-    the first bad one, whose error is returned (None if there is none)."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    timeseries.csv from ``line`` on, read one by one by the csv module and
+    checked by ``_checked``; a quoted field that runs on past ``text`` reads
+    on from ``fh``.  The rows stop before the first bad one, whose error is
+    returned (None if there is none)."""
+    lines = io.StringIO(text, newline="").readlines()
+    reader = csv.reader(itertools.chain(lines, fh))
+    rows, error = [], None
     try:
-        rows = list(reader)
-    except csv.Error:
-        rows = [[]]
-    at, error = range(line, line + len(rows)), None
-    # record by record: multi-line, short and bad rows, the csv module's errors
-    # and a last field that ends in a line break, so may run on past the text
-    if (reader.line_num != len(rows) or rows[-1][-1:] and rows[-1][-1].endswith("\n")
-            or (columns := _columns(rows, T, fixed, code_of)) is None):
-        lines = io.StringIO(text, newline="").readlines()
-        reader = csv.reader(itertools.chain(lines, fh))
-        rows, at = [], []
-        try:
-            for row_line, row in _records(reader, 4, line - 1, len(lines)):
-                rows.append(row)
-                at.append(row_line)
-        except ParseError as exc:
-            error = exc
-        columns = _columns(rows, T, fixed, code_of)
-    if columns is None:  # keep the rows before the first bad one
-        k, error = next((k, e) for k, e in enumerate(map(
-            _row_error, rows, at, itertools.repeat(T), itertools.repeat(fixed))) if e)
-        rows, at = rows[:k], at[:k]
-        columns = _columns(rows, T, fixed, code_of)
-    return (*columns, at, line + reader.line_num, error)
+        for at, row in _records(reader, 4, line - 1, len(lines)):
+            rows.append((row[0], row[1], *_checked(row, at, T, fixed), at))
+    except DataError as exc:
+        error = exc
+    patients, variables, hours, values, at = zip(*rows) if rows else [()] * 5
+    return (_codes(patients, code_of[0]), _codes(variables, code_of[1]),
+            np.array(hours, dtype=np.int64), np.array(values, dtype=float),
+            np.array(at, dtype=np.int64), line + reader.line_num, error)
 
 
-def _first_repeat(p, v, hour, P, D):
+def _first_repeat(p, v, hour):
     """(the first row whose (patient, variable, hour) an earlier row has, the
     first row that has it), or None."""
-    H = int(hour.max(initial=0))
-    if P * D * H <= np.iinfo(np.int64).max:  # sort the flat cells of (P, D, H)
-        key = p * D
-        key += v
-        key *= H
-        key += hour
-        key.sort()
-        if not (key[1:] == key[:-1]).any():
-            return None
     order = np.lexsort((hour, v, p))  # stable: a repeated cell's rows in file order
-    repeat = np.ones(len(order) - 1, dtype=bool)
+    repeat = np.ones(max(len(order) - 1, 0), dtype=bool)
     for column in (p, v, hour):
         column = column[order]
         repeat &= column[1:] == column[:-1]
@@ -366,9 +334,9 @@ def _first_repeat(p, v, hour, P, D):
 
 def _read_series(path, T, fixed):
     """The rows of ``timeseries.csv`` in chunks of at least ``_CHUNK_CHARS``
-    characters of whole lines, each read by numpy's C parser (``_numpy_rows``)
-    or else the csv module.  A chunk keeps only its rows' codes, hours and
-    values, so the strings made for its fields die with it.  The first bad
+    characters of whole lines, each parsed in one call (``_at_once``) or else
+    record by record (``_csv_rows``).  A chunk keeps only its rows' codes,
+    hours and values, so the strings made for its fields die with it.  The first bad
     row in file order raises the error that names it: a malformed row, a
     non-finite value, an hour outside [1, T], a variable outside ``fixed``
     (if given) or a repeated (patient, variable, hour)."""
@@ -380,14 +348,14 @@ def _read_series(path, T, fixed):
         warnings.simplefilter("error")  # before numpy 2 an hour "1.0" warns
         line = reader.line_num + 1
         while error is None and (text := fh.read(_CHUNK_CHARS) + fh.readline()):
-            *rows, at, line, error = (_numpy_rows(text, line, T, fixed, code_of)
+            *rows, at, line, error = (_at_once(text, line, T, fixed, code_of)
                                       or _csv_rows(text, fh, line, T, fixed, code_of))
             for column, part in zip((*columns, lines), (*rows, at)):
                 column.append(part)
     p, v, hour, value = map(_joined, columns)
     patients, p = _names(code_of[0], p)  # rebinding frees the provisional codes
     variables, v = _names(code_of[1], v)
-    repeat = _first_repeat(p, v, hour, len(patients), len(variables))
+    repeat = _first_repeat(p, v, hour)
     if repeat is not None:
         second, first = repeat
         line_of = list(itertools.chain.from_iterable(lines))
@@ -492,9 +460,9 @@ def ingest_csv(
                       dtype=np.intp)
     var_of = np.array([var_index[v] for v in series.variables], dtype=np.intp)
     values = series_array(N, D, T)
-    # the flat index (row * D + variable) * T + hour - 1 of each cell, from one
-    # gather in a (patient, variable) table, so that no other row-long array is made
-    cell = (row_of[:, None] * D + var_of)[series.p, series.v]
+    cell = row_of[series.p]  # (row * D + variable) * T + hour - 1 of each cell
+    cell *= D
+    cell += var_of[series.v]
     cell *= T
     cell += series.hour
     cell -= 1

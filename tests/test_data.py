@@ -299,9 +299,9 @@ EDGE_CASES = [
      _patients("p,1", "p2"), None),
     ("quoted_newline", SERIES_HEADER + '"p\n1",hr,1,80\np2,hr,2,70\n',
      _patients("p\n1", "p2"), None),
-    # every line break reads as \n, also one inside a quoted field
-    ("quoted_crlf", SERIES_HEADER + '"p\r\n1",hr,1,80\r\n"p\r2",hr,2,70\r\n',
-     _patients("p\n1", "p\n2"), None),
+    # a line break inside a quoted field is kept as written
+    ("quoted_crlf", SERIES_HEADER + '"p\r\n1",hr,1,80\r\np2,hr,2,70\r\n',
+     _patients("p\r\n1", "p2"), None),
     ("inner_quote", SERIES_HEADER + 'p"1,hr,1,80\np2,hr,1,70\n',
      _patients('p"1', "p2"), None),
     ("hash", SERIES_HEADER + "p#1,hr,1,80\np2,hr,1,70\n",
@@ -389,6 +389,9 @@ BOUNDARY_CASES = [
     ("repeated_key_apart", BASIC + "p1,hr,1,85\n"),
     ("repeated_key_after_blank_lines",
      SERIES_HEADER + "\n" + "\n\n".join(BASIC_SERIES) + "\np1,hr,1,85\n"),
+    # two repeated keys: the one repeated first in the file sorts last
+    ("repeated_keys_out_of_sort_order",
+     SERIES_HEADER + "p2,hr,1,80\np1,hr,1,70\np2,hr,1,81\np1,hr,1,71\n"),
 ]
 
 

@@ -16,7 +16,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -254,41 +253,37 @@ def _checked(row, line, T, fixed):
 
 
 def _at_once(text, line, T, fixed, code_of):
-    """``_csv_rows`` of ``text`` parsed in one call, by numpy's C parser when
-    it holds no quote and no separator numpy alone skips as whitespace, else
-    by the csv module; or None unless that reads one row per line, as the
-    csv module would, and every row passes ``_checked``.  A blank, short or
-    multi-line row, a line that may hold a field over the csv module's size
-    limit, a spelling only Python's parser takes (``1_0``, non-ASCII digits)
-    or a bad row leaves the text to ``_csv_rows``."""
+    """``_csv_rows`` of ``text`` parsed in one call by numpy's C parser, or
+    None unless that reads one row per line, as the csv module would, and
+    every row passes ``_checked``.  A blank, short or multi-line row, a
+    quoted field that may run on past the text, a line that may hold a field
+    over the csv module's size limit, a separator numpy alone skips as
+    whitespace, a spelling only Python's parser takes (``1_0``, non-ASCII
+    digits) or a bad row leaves the text to ``_csv_rows``."""
+    # a line over the limit holds an aligned block of limit // 2 characters
+    block = max(csv.field_size_limit() // 2, 1)
+    if (any(c in text for c in "\x1c\x1d\x1e\x1f")
+            or any(text.find("\n", k, k + block) < 0
+                   for k in range(0, len(text) - block + 1, block))):
+        return None
+    # numpy ends a quote left open on the last line with the text, where the
+    # csv module reads on into the next chunk
+    last = text[text.rfind("\n", 0, -1) + 1:]
     try:
-        if not any(c in text for c in '"\x1c\x1d\x1e\x1f'):
-            # a line over the limit holds an aligned block of limit // 2 characters
-            block = max(csv.field_size_limit() // 2, 1)
-            if any(text.find("\n", k, k + block) < 0
-                   for k in range(0, len(text) - block + 1, block)):
-                return None
-            table = np.loadtxt(io.StringIO(text), delimiter=",", usecols=(0, 1, 2, 3),
-                               dtype=_SERIES_DTYPE, comments=None, ndmin=1)
-            # the table's own columns: a list or a string per line beside them
-            # would leave holes in the heap that raise a repeated eval's peak RSS
-            patients, variables = table["patient"], table["variable"]
-            hour, value = table["hour"].copy(), table["value"].copy()
-            n_lines = text.count("\n") + (not text.endswith("\n"))
-        else:
-            reader = csv.reader(io.StringIO(text, newline=""))
-            rows = list(reader)
-            if rows[-1][-1].endswith("\n"):  # a quoted field may run on past the text
-                return None
-            patients, variables, hours, values = (list(map(itemgetter(k), rows))
-                                                  for k in range(4))
-            hour = np.array(list(map(int, hours)), dtype=np.int64)
-            value = np.fromiter(map(float, values), float, len(values))
-            n_lines = reader.line_num
-    except (csv.Error, IndexError, ValueError, OverflowError, Warning):
+        if '"' in last and next(csv.reader([last]))[-1].endswith(("\n", "\r")):
+            return None
+        table = np.loadtxt(io.StringIO(text), delimiter=",", quotechar='"',
+                           usecols=(0, 1, 2, 3), dtype=_SERIES_DTYPE,
+                           comments=None, ndmin=1)
+    except (csv.Error, ValueError, OverflowError, Warning):
         return None  # Warning: see _read_series
+    # the table's own columns: a list or a string per line beside them
+    # would leave holes in the heap that raise a repeated eval's peak RSS
+    patients, variables = table["patient"], table["variable"]
+    hour, value = table["hour"].copy(), table["value"].copy()
     n = len(hour)
-    if not (n == n_lines and 1 <= hour.min() and int(hour.max()) <= T
+    if not (n == text.count("\n") + (not text.endswith("\n"))
+            and 1 <= hour.min() and int(hour.max()) <= T
             and np.isfinite(value).all()
             and (fixed is None or all(v.strip() in fixed for v in set(variables)))):
         return None
@@ -317,19 +312,18 @@ def _csv_rows(text, fh, line, T, fixed, code_of):
             np.array(at, dtype=np.int64), line + reader.line_num, error)
 
 
-def _first_repeat(p, v, hour):
-    """(the first row whose (patient, variable, hour) an earlier row has, the
-    first row that has it), or None."""
-    order = np.lexsort((hour, v, p))  # stable: a repeated cell's rows in file order
+def _first_repeat(pv, hour):
+    """(the first row whose (patient-variable code, hour) an earlier row has,
+    the first row that has it), or None."""
+    order = np.lexsort((hour, pv))  # stable: a repeated cell's rows in file order
     repeat = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for column in (p, v, hour):
+    for column in (pv, hour):  # one sorted column at a time
         column = column[order]
         repeat &= column[1:] == column[:-1]
     if not repeat.any():
         return None
     second = order[1:][repeat].min()
-    same = (p == p[second]) & (v == v[second]) & (hour == hour[second])
-    return second, np.flatnonzero(same)[0]
+    return second, np.flatnonzero((pv == pv[second]) & (hour == hour[second]))[0]
 
 
 def _read_series(path, T, fixed):
@@ -355,7 +349,8 @@ def _read_series(path, T, fixed):
     p, v, hour, value = map(_joined, columns)
     patients, p = _names(code_of[0], p)  # rebinding frees the provisional codes
     variables, v = _names(code_of[1], v)
-    repeat = _first_repeat(p, v, hour)
+    # a (patient, variable) code below P * V <= rows ** 2, in int64 below 3e9 rows
+    repeat = _first_repeat(p * len(variables) + v, hour)
     if repeat is not None:
         second, first = repeat
         line_of = list(itertools.chain.from_iterable(lines))
@@ -387,7 +382,10 @@ def ingest_csv(
     static header or ``<col>=<value>``, and a header column no name uses
     raises SchemaError.  So does a name repeated in ``variables`` or
     ``static_names``, or a one-hot name that reads back as another column's.
+    A ``T`` above the int64 maximum is a DataError before any file is read.
     """
+    if T > np.iinfo(np.int64).max:  # the hours are read as int64
+        raise DataError(f"T = {T}: above {np.iinfo(np.int64).max}, the largest int64")
     check_distinct("variables", variables or (), SchemaError)
     check_distinct("static_names", static_names or (), SchemaError)
 

@@ -545,13 +545,14 @@ class TestTypedFailures:
         (lambda doc: doc["normalization"]["static_std"].__setitem__(0, -1.0),
          "static_std is not positive"),
         # T too large for the (N, D, T) series array; numpy refuses each of
-        # these shapes before allocating anything
+        # these shapes before allocating anything, and a T above the int64
+        # maximum is refused before the cohort is read
         (lambda doc: doc.__setitem__("T", 10**15),
          f"cannot allocate the (300, 4, {10**15}) series array"),
         (lambda doc: doc.__setitem__("T", 10**18),
          f"cannot allocate the (300, 4, {10**18}) series array"),
         (lambda doc: doc.__setitem__("T", 10**20),
-         f"cannot allocate the (300, 4, {10**20}) series array"),
+         f"T = {10**20}: above {2**63 - 1}, the largest int64"),
         # a repeated name, with the feature names renamed to match, so the
         # layout check alone cannot catch it
         (lambda doc: _rename(doc, "variable_names", "var1", "var0"),
@@ -639,6 +640,20 @@ class TestTypedFailures:
                      "--out", str(tmp_path / "run"), "--t", str(10**15)])
         assert_fails(capsys, code, 2,
                      f"cannot allocate the (300, 4, {10**15}) series array")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_t_beyond_int64_is_2(self, tmp_path, capsys):
+        # an hour no int64 holds, yet not above T
+        cohort = tmp_path / "cohort"
+        cohort.mkdir()
+        for name, text in [("timeseries.csv", "patient_id,variable,hour,value\n"
+                                              "p1,hr,10000000000000000000,80\n"),
+                           ("static.csv", "patient_id,age\np1,50\n"),
+                           ("labels.csv", "patient_id,label\np1,1\n")]:
+            (cohort / name).write_text(text)
+        code = main(["train", "--cohort-dir", str(cohort),
+                     "--out", str(tmp_path / "run"), "--t", str(10**20)])
+        assert_fails(capsys, code, 2, f"data error: T = {10**20}: above {2**63 - 1}")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edit, needle", [

@@ -376,8 +376,8 @@ def test_columnar_reader_agrees_in_chunks_of_one_line(tmp_path, series, patients
 # id, timeseries.csv.  Each file is read at every chunk size from 0 to its
 # length, so that a chunk boundary falls at each place: before and after a
 # quoted newline (also in a row that reads as whole without the rest of its
-# quoted field), inside a CRLF pair, between blank lines and between the two
-# rows of a repeated (patient, variable, hour).
+# quoted field), inside a CRLF pair, between blank lines, between the two
+# rows of a repeated (patient, variable, hour) and around each quote.
 BOUNDARY_CASES = [
     ("quoted_newline", BASIC + '"p\n1",hr,1,80\np2,hr,2,70\n'),
     ("quoted_newline_in_extra_column", BASIC + 'p2,hr,2,70,"a\nb"\np2,hr,3,71\n'),
@@ -392,6 +392,14 @@ BOUNDARY_CASES = [
     # two repeated keys: the one repeated first in the file sorts last
     ("repeated_keys_out_of_sort_order",
      SERIES_HEADER + "p2,hr,1,80\np1,hr,1,70\np2,hr,1,81\np1,hr,1,71\n"),
+    # a literal quote, then a quote that opens at the end of the line
+    ("quote_opened_after_a_literal_quote", BASIC + 'ab"c,"x\ny",2,5\np2,hr,3,71\n'),
+    ("doubled_quotes", BASIC + '"p""1",hr,1,80\np2,"s""bp",3,70\n'),
+    ("quote_closed_mid_field", BASIC + '"p"1,hr,5,80\np2,hr,3,71\n'),
+    ("quoted_hour_and_value", BASIC + 'p2,hr," 2 ","7_0"\np2,hr,"3","71"\n'),
+    ("quote_opened_on_the_last_line", BASIC + 'p2,hr,3,71\np2,hr,5,80,"a\n'),
+    ("lone_cr_quoted_newline_in_extra_column",
+     SERIES_HEADER + 'p1,hr,1,80\rp2,hr,2,70,"a\rb"\r"p2",hr,3,71\r'),
 ]
 
 
@@ -487,12 +495,20 @@ def test_hours_and_values_are_spelled_as_python_reads_them(tmp_path, hour, value
             assert reference == expected
 
 
-@pytest.mark.parametrize("T", [10**18, 3 * 10**18, 10**20])
+@pytest.mark.parametrize("T", [10**18, 3 * 10**18, 2**63 - 1])
 def test_t_too_large_for_the_series_array_is_a_data_error(tmp_path, T):
     # numpy refuses each (2, 2, T) shape before allocating anything
     paths = write_files(tmp_path, cohort_files(BASIC, *P12))
     assert (ingest_outcome(paths, T) == ingest_outcome(paths, T, reference=True)
             == (DataError, f"T = {T}: cannot allocate the (2, 2, {T}) series array"))
+
+
+# No hour above T fits in int64 then, so T is refused before any file is
+# read: the directory holds no cohort.
+@pytest.mark.parametrize("T", [2**63, 10**20])
+def test_t_beyond_int64_is_a_data_error(tmp_path, T):
+    assert ingest_outcome(cohort_paths(tmp_path), T) == (
+        DataError, f"T = {T}: above {2**63 - 1}, the largest int64")
 
 
 # Hours so large that the flat (patient, variable, hour) cell index of a

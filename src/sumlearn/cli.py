@@ -27,7 +27,6 @@ from .errors import (
     CheckpointFormatError,
     DataError,
     NumericalError,
-    SumlearnError,
     UsageError,
     check_value,
 )
@@ -363,9 +362,6 @@ def main(argv=None):
     except NumericalError as exc:
         _print_failure("numerical failure", exc)
         return 3
-    except SumlearnError as exc:
-        _print_failure("error", exc)
-        return 2
 
 
 if __name__ == "__main__":

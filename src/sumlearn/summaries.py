@@ -25,8 +25,11 @@ cost is per call, not per byte) run once per group.  Passes and closed forms:
   ``(sum v)^2 - sum v^2`` are summed over pairs ``s < t`` for that reason.
 * Tangent: summary ``i`` of variable ``d`` depends on the one window
   ``C[d, i]``, so ``dH/dC`` is the same closed form over the same sums
-  taken against ``dw/dC``.  The tangent pass gives H too, so a relaxed
-  training step runs the kernel once (``compute_summary_tensor(...,
+  taken against ``dw/dC``.  Each derivative rule is written once: the
+  ratios' quotient rule in one expression for all five, ``centred`` for
+  the d/dC of a centred sum (its shifted means included), and
+  ``d_variance`` for both variances.  The tangent pass gives H too, so a
+  relaxed training step runs the kernel once (``compute_summary_tensor(...,
   tangent=True)``); ``gradients`` contracts dH/dC with ``dL/dH``.
 
 Hard mode is the same kernel with indicator weights and the step threshold
@@ -209,6 +212,9 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False,
     w_iv = w[:, INDICATOR_VARIANCE]
     s1_iv = col_sums[:, INDICATOR_VARIANCE]
     den_iv = 2.0 * (w_iv * (w_iv @ later)).sum(-1) + EPS
+    if tangent:  # d/dC of sum w and of sum w^2
+        ds1_iv = col_sums[:, N_COLUMNS + INDICATOR_VARIANCE]
+        ds2_iv = 2.0 * (w_iv * cols[:, :, N_COLUMNS + INDICATOR_VARIANCE]).sum(-1)
     # thresholds per (variable, hour), so that they broadcast over rows only
     phi_plus = np.repeat(np.asarray(phi_plus, dtype=float)[:, None], T, axis=1)
     phi_minus = np.repeat(np.asarray(phi_minus, dtype=float)[:, None], T, axis=1)
@@ -307,15 +313,19 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False,
         mean += shift
         residual = mean * EPS  # sum v (x - mean), exactly
 
-        def centred(k, a, b, c=0):  # sum v (x_a - mean_a)(x_b - mean_b), v ~ w or dw
-            return (q[k, ..., c] - shift[a] * dev_sums[b, ..., c]
-                    - shift[b] * dev_sums[a, ..., c]
-                    + shift[a] * shift[b] * v_sums[a, ..., c])
-
         # tangent: the derivative of every sum above is the same sum against
         # dw/dC, and d(mean)/dC = sum dv (x - mean) / s
         if tangent:
             dmean = (dev_sums[..., 1] - shift * v_sums[..., 1]) / s
+
+        def centred(k, a, b, c=0):  # sum v (x_a - mean_a)(x_b - mean_b); c = 1: d/dC
+            total = (q[k, ..., c] - shift[a] * dev_sums[b, ..., c]
+                     - shift[b] * dev_sums[a, ..., c]
+                     + shift[a] * shift[b] * v_sums[a, ..., c])
+            if c:  # the means move with C too
+                total -= dmean[a] * residual[b] + dmean[b] * residual[a]
+            return total
+
         Hb = H[group]
         dHb = dH_dC[group] if tangent else None
         # first and last measured hours: constants of the mask
@@ -351,23 +361,18 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False,
         den_var = 2.0 * q[Q_PAIRS, ..., 0] + EPS
         Hb[..., VARIANCE] = q_var * s1 / den_var
         Hb[..., INDICATOR_VARIANCE] = q[Q_INDICATOR, ..., 0] * s1_iv / den_iv
+
+        # d(q s1 / den)/dC; the pair sum is s1^2 - sum v^2, so d(den)/dC = 2 s1 ds1 - ds2
+        def d_variance(i, q_i, dq, s1, ds1, ds2, den):
+            dHb[..., i] = (dq * s1 + q_i * ds1 - Hb[..., i] * (2.0 * s1 * ds1 - ds2)) / den
+
         if tangent:
-            dq = (centred(Q_DEV2, P_VARIANCE, P_VARIANCE, 1)
-                  - 2.0 * dmean[P_VARIANCE] * residual[P_VARIANCE])
-            ds1 = m[..., N_COLUMNS + VARIANCE]
-            dden = 2.0 * s1 * ds1 - m[..., COL_DSQ_VARIANCE]
-            dHb[..., VARIANCE] = (
-                dq * s1 + q_var * ds1 - Hb[..., VARIANCE] * dden
-            ) / den_var
-            ds1 = col_sums[:, N_COLUMNS + INDICATOR_VARIANCE]
-            dmbar = m[..., N_COLUMNS + INDICATOR_VARIANCE] - mbar * ds1
-            dmbar /= s1_iv + EPS
-            dq = q[Q_INDICATOR, ..., 1] - 2.0 * dmbar * mbar * EPS
-            ds2 = 2.0 * (w_iv * cols[:, :, N_COLUMNS + INDICATOR_VARIANCE]).sum(-1)
-            dHb[..., INDICATOR_VARIANCE] = (
-                dq * s1_iv + q[Q_INDICATOR, ..., 0] * ds1
-                - Hb[..., INDICATOR_VARIANCE] * (2.0 * s1_iv * ds1 - ds2)
-            ) / den_iv
+            d_variance(VARIANCE, q_var, centred(Q_DEV2, P_VARIANCE, P_VARIANCE, 1), s1,
+                       m[..., N_COLUMNS + VARIANCE], m[..., COL_DSQ_VARIANCE], den_var)
+            dmbar = (m[..., N_COLUMNS + INDICATOR_VARIANCE] - mbar * ds1_iv) / (s1_iv + EPS)
+            d_variance(INDICATOR_VARIANCE, q[Q_INDICATOR, ..., 0],
+                       q[Q_INDICATOR, ..., 1] - 2.0 * dmbar * mbar * EPS, s1_iv, ds1_iv,
+                       ds2_iv, den_iv)
 
         den_slope = centred(Q_AA, P_SLOPE_T, P_SLOPE_T) + EPS
         Hb[..., SLOPE] = centred(Q_AB, P_SLOPE_T, P_SLOPE_X) / den_slope
@@ -375,16 +380,9 @@ def summary_blocks(X, M, w, phi_plus, phi_minus, tau, hard=False, tangent=False,
         Hb[..., SLOPE_STDERR] = 1.0 / den_se
         if not tangent:
             return
-        dnum = centred(Q_AB, P_SLOPE_T, P_SLOPE_X, 1) - (
-            dmean[P_SLOPE_T] * residual[P_SLOPE_X]
-            + dmean[P_SLOPE_X] * residual[P_SLOPE_T]
-        )
-        dden = (centred(Q_AA, P_SLOPE_T, P_SLOPE_T, 1)
-                - 2.0 * dmean[P_SLOPE_T] * residual[P_SLOPE_T])
-        dHb[..., SLOPE] = (dnum - Hb[..., SLOPE] * dden) / den_slope
-        dden = (centred(Q_STDERR, P_STDERR_T, P_STDERR_T, 1)
-                - 2.0 * dmean[P_STDERR_T] * residual[P_STDERR_T])
-        dHb[..., SLOPE_STDERR] = -dden / den_se**2
+        dHb[..., SLOPE] = (centred(Q_AB, P_SLOPE_T, P_SLOPE_X, 1) - Hb[..., SLOPE]
+                           * centred(Q_AA, P_SLOPE_T, P_SLOPE_T, 1)) / den_slope
+        dHb[..., SLOPE_STDERR] = -centred(Q_STDERR, P_STDERR_T, P_STDERR_T, 1) / den_se**2
         dphi = dH_dphi[:, group]
         dphi /= tau * (m[..., [FRAC_ABOVE, FRAC_BELOW]].transpose(2, 0, 1) + EPS)
         dphi[0] *= -1.0

@@ -163,9 +163,7 @@ def train(batch_train, batch_val, config):
             )
             if not np.isfinite(train_loss):
                 raise NumericalError(
-                    f"non-finite train loss at epoch {epoch}; "
-                    "last good checkpoint retained in best parameters"
-                )
+                    f"non-finite train loss at epoch {epoch}; training stopped")
             val_loss, val_auc = _evaluate(
                 summary_params, model_params, batch_val, config, omega_val
             )

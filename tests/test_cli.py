@@ -216,6 +216,18 @@ class TestExitCodes:
         assert "block: C" in err
         assert "Traceback" not in err
 
+    def test_non_finite_train_loss_is_3(self, cohort_dir, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.setattr("sumlearn.training.total_loss",
+                            lambda *args, **kwargs: np.inf)
+        code = main([
+            "train", "--cohort-dir", str(cohort_dir), "--out", str(tmp_path),
+            "--t", "12", "--seeds", "0", "--epochs", "2", "--eval-interval", "1",
+            "--batch-size", "64",
+        ])
+        assert_fails(capsys, code, 3, "non-finite train loss at epoch 1; training stopped")
+        assert not (tmp_path / "seed_0" / "model.ckpt").exists()
+
     def test_gradcheck_passes_with_0(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         assert "max relative error" in capsys.readouterr().out
@@ -562,12 +574,20 @@ class TestTypedFailures:
         # every writer copies config.tau_temp into the document's tau_temp
         (lambda doc: doc.__setitem__("tau_temp", 5.0),
          "tau_temp = 5.0 differs from config.tau_temp = 0.1"),
+        # version 1 only: True == 1 in Python, and "1" is a string
+        (lambda doc: doc.__setitem__("version", 2), "unsupported version 2"),
+        (lambda doc: doc.__setitem__("version", True), "unsupported version True"),
+        (lambda doc: doc.__setitem__("version", "1"), "unsupported version '1'"),
+        (lambda doc: doc.__setitem__("normalization", []),
+         "normalization is not a JSON object"),
+        (lambda doc: doc.__setitem__("config", 3), "config is not a JSON object"),
     ], ids=["short_C", "ragged_C", "short_phi_plus", "long_phi_minus",
             "unknown_config_key", "missing_config_key", "unknown_variable_feature",
             "unknown_summary_feature", "non_integer_hour_feature", "nan_coeff",
             "nan_C", "inf_mean", "zero_std", "negative_static_std", "T_1e15",
             "T_1e18", "T_1e20", "repeated_variable", "repeated_static",
-            "tau_temp_not_config"])
+            "tau_temp_not_config", "version_2", "version_true", "version_string",
+            "normalization_list", "config_number"])
     def test_malformed_checkpoint_is_2(self, cohort_dir, trained_dir, tmp_path,
                                        capsys, edit, needle):
         doc = json.loads((trained_dir / "seed_0" / "model.ckpt").read_text())

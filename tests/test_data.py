@@ -911,3 +911,32 @@ class TestClassWeights:
     def test_label_other_than_0_and_1_is_a_data_error(self, y):
         with pytest.raises(DataError, match="labels must be 0 or 1"):
             class_weights(np.array(y))
+
+
+def _stats_of(d=3, p=2):
+    """Normalization stats of a batch with d variables and p statics."""
+    batch = random_batch(np.random.default_rng(1), d=d)
+    return fit_normalization(replace(batch, S=batch.S[:, :p]))
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda b: replace(b, M=b.M[..., 1:]), "X and M must have identical shapes"),
+    (lambda b: replace(b, S=b.S[1:]), "S and y must have one row per example"),
+    (lambda b: replace(b, y=b.y[1:]), "S and y must have one row per example"),
+    (lambda b: build_batch(sumlearn.data.RawCohort(
+        b.X, b.S, b.y, b.patient_ids, b.variable_names, b.static_names), np.zeros(1)),
+     "population_median must have one entry per variable"),
+    (lambda b: fit_normalization(b.take([0])), "need at least 2 examples"),
+    (lambda b: apply_normalization(b, _stats_of(d=1)),
+     "normalization stats do not match batch dimensions"),
+    (lambda b: apply_normalization(b, _stats_of(p=1)),
+     "static normalization stats do not match batch"),
+    (lambda b: split_by_patient(b, 0.0, seed=0), "test_fraction must be in"),
+    (lambda b: split_by_patient(b, 0.05, seed=0),
+     "cohort of 8 too small for test_fraction 0.05"),
+    (lambda b: class_weights(np.ones(4)), "only one class present"),
+], ids=["X_M_shapes", "S_length", "y_length", "median_length", "one_example",
+        "stats_D", "stats_P", "test_fraction_0", "cohort_too_small", "one_class"])
+def test_library_guards_are_data_errors(rng, call, needle):
+    with pytest.raises(DataError, match=needle):
+        call(random_batch(rng))

@@ -112,6 +112,11 @@ class TestAblation:
         mp = ModelParams(np.array([1.0, 2.0]), 0.0, ["a", "b"])
         assert np.array_equal(ablate_top_n(mp, 10).coeffs, mp.coeffs)
 
+    def test_negative_n_is_a_value_error(self):
+        mp = ModelParams(np.array([1.0, 2.0]), 0.0, ["a", "b"])
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            ablate_top_n(mp, -1)
+
     def test_curve_is_evaluated_at_requested_ns(self, rng):
         batch = random_batch(rng, n=30)
         sp = full_window_params(3)

@@ -127,6 +127,13 @@ class TestGradientStructure:
         with pytest.raises(NumericalError, match="design column: static:s1"):
             loss_and_gradients(sp, mp, batch, config)
 
+    def test_non_finite_loss_of_a_finite_design_says_so(self, rng):
+        batch, sp, mp, config = make_setup(rng)
+        mp.coeffs[:] = 1e308  # the logits overflow, the design does not
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match=r"non-finite loss \(design matrix finite\)"):
+            loss_and_gradients(sp, mp, batch, config)
+
     def test_loss_matches_total_loss(self, rng):
         batch, sp, mp, config = make_setup(rng)
         loss, _ = loss_and_gradients(sp, mp, batch, config)

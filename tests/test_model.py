@@ -315,3 +315,17 @@ class TestCheckpoint:
         path.write_text("not json at all {")
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda batch: ModelParams(np.zeros(3), 0.0, ["a", "b"]),
+     "feature_names must align with coeffs"),
+    (lambda batch: predict(batch, full_window_params(3),
+                           ModelParams(np.zeros(1), 0.0, ["a"]), "soft"),
+     "unknown mode 'soft'"),
+    (lambda batch: assemble_features(None, batch.S, batch.X, batch.M, "relaxed"),
+     "full modes need the summary tensor H"),
+], ids=["names_not_coeffs", "predict_unknown_mode", "full_mode_without_H"])
+def test_library_guards_are_data_errors(rng, call, needle):
+    with pytest.raises(DataError, match=needle):
+        call(random_batch(rng))

@@ -333,6 +333,14 @@ class TestSummaryTensor:
         with pytest.raises(ValueError):
             compute_summary_tensor(x, x, full_window_params(1, t=4), mode="soft")
 
+    @pytest.mark.parametrize("C, tau_temp, needle", [
+        (np.ones((2, 12)), 0.0, "tau_temp must be positive"),
+        (np.ones(12), 0.1, r"C must be a \(D, I\) matrix"),
+    ], ids=["tau_temp_0", "C_not_D_by_I"])
+    def test_params_guard(self, C, tau_temp, needle):
+        with pytest.raises(ValueError, match=needle):
+            SummaryParams(C, np.ones(2), -np.ones(2), tau_temp)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),

@@ -261,3 +261,15 @@ def test_write_memory_per_series_row_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / rows < WRITE_BYTES_PER_ROW
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda: SynthSpec(T=5), r"planted windows must lie in \[1, T\]"),
+    (lambda: SynthSpec(p_obs=0.0), r"p_obs must be in \(0, 1\]"),
+    (lambda: generate(SynthSpec(n_examples=50, T=8, trend_window=4, threshold_window=4,
+                                prevalence=1.5)),
+     "target prevalence 1.5 not achievable"),
+], ids=["window_above_T", "p_obs_0", "prevalence_1_5"])
+def test_guards_are_data_errors(call, needle):
+    with pytest.raises(DataError, match=needle):
+        call()

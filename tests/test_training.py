@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sumlearn.training as training
-from sumlearn.errors import NumericalError
+from sumlearn.errors import DataError, NumericalError
 from sumlearn.model import TrainConfig
 from sumlearn.training import AdamState, adam_step, init_params, train
 
@@ -152,6 +152,21 @@ class TestTrain:
         tr = random_batch(rng, n=40, d=2, t=8)
         va = random_batch(rng, n=20, d=2, t=8)
         with pytest.raises(NumericalError, match=rf"block: {block}, entry \({entry[0]},\)"):
+            train(tr, va, tiny_config(max_epochs=10, eval_interval=5))
+
+    def test_one_class_in_training_labels_is_a_data_error(self, rng):
+        tr = random_batch(rng, n=40, d=2, t=8)
+        tr.y[:] = 1.0
+        va = random_batch(rng, n=20, d=2, t=8)
+        with pytest.raises(DataError, match="training labels contain a single class"):
+            train(tr, va, tiny_config())
+
+    def test_non_finite_train_loss_stops_training(self, rng, monkeypatch):
+        monkeypatch.setattr(training, "total_loss", lambda *args, **kwargs: np.inf)
+        tr = random_batch(rng, n=40, d=2, t=8)
+        va = random_batch(rng, n=20, d=2, t=8)
+        with pytest.raises(NumericalError,
+                           match=r"^non-finite train loss at epoch 5; training stopped$"):
             train(tr, va, tiny_config(max_epochs=10, eval_interval=5))
 
 

@@ -346,7 +346,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # a non-finite result fails a typed check; numpy's warnings would repeat it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as exc:
         _print_failure("usage error", exc)
         return 1

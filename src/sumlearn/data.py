@@ -186,20 +186,6 @@ def _read_rows(path, expected_header):
         yield from _records(reader, len(expected_header))
 
 
-@dataclass
-class _Series:
-    """The rows of ``timeseries.csv`` as columns: each row's patient and
-    variable as a code into the sorted distinct stripped names, its hour and
-    its value."""
-
-    patients: list
-    p: np.ndarray
-    variables: list
-    v: np.ndarray
-    hour: np.ndarray
-    value: np.ndarray
-
-
 class _Coder(dict):
     """A dict that gives each key it lacks the next free code."""
 
@@ -327,13 +313,16 @@ def _first_repeat(pv, hour):
 
 
 def _read_series(path, T, fixed):
-    """The rows of ``timeseries.csv`` in chunks of at least ``_CHUNK_CHARS``
-    characters of whole lines, each parsed in one call (``_at_once``) or else
-    record by record (``_csv_rows``).  A chunk keeps only its rows' codes,
-    hours and values, so the strings made for its fields die with it.  The first bad
-    row in file order raises the error that names it: a malformed row, a
-    non-finite value, an hour outside [1, T], a variable outside ``fixed``
-    (if given) or a repeated (patient, variable, hour)."""
+    """The rows of ``timeseries.csv`` as columns (patients, p, variables, v,
+    hour, value): each row's patient and variable as a code into the sorted
+    distinct stripped names, its hour and its value.  The file is read in
+    chunks of at least ``_CHUNK_CHARS`` characters of whole lines, each parsed
+    in one call (``_at_once``) or else record by record (``_csv_rows``).  A
+    chunk keeps only its rows' codes, hours and values, so the strings made
+    for its fields die with it.  The first bad row in file order raises the
+    error that names it: a malformed row, a non-finite value, an hour outside
+    [1, T], a variable outside ``fixed`` (if given) or a repeated (patient,
+    variable, hour)."""
     code_of = (_Coder(), _Coder())  # provisional code of each raw patient, variable
     # per chunk: patient, variable codes, hour, value, and the line of each row
     columns = tuple([np.empty(0, t)] for t in (np.intp, np.intp, np.int64, float))
@@ -359,7 +348,7 @@ def _read_series(path, T, fixed):
             f"{hour[second]}) at lines {line_of[first]} and {line_of[second]}")
     if error is not None:
         raise error
-    return _Series(patients, p, variables, v, hour, value)
+    return patients, p, variables, v, hour, value
 
 
 def ingest_csv(
@@ -407,8 +396,8 @@ def ingest_csv(
 
     # time series
     fixed = list(variables) if variables is not None else None
-    series = _read_series(timeseries_path, T, fixed)
-    variable_names = fixed if fixed is not None else series.variables
+    patients, pcode, names, vcode, hour, value = _read_series(timeseries_path, T, fixed)
+    variable_names = fixed if fixed is not None else names
 
     # static
     rows = _read_rows(static_path, STATIC_HEADER)
@@ -426,7 +415,7 @@ def ingest_csv(
         static_rows[pid] = [c.strip() for c in row[1:]]
 
     # cohort = labelled patients that have at least one series row
-    pids_with_series = set(series.patients)
+    pids_with_series = set(patients)
     patient_ids = sorted(p for p in label_of if p in pids_with_series)
     if not patient_ids:
         raise DataError("no labelled patient has any time-series rows")
@@ -454,18 +443,17 @@ def ingest_csv(
     pid_index = {p: n for n, p in enumerate(patient_ids)}
 
     # series rows for unlabelled patients are ignored
-    row_of = np.array([pid_index.get(p, -1) for p in series.patients],
-                      dtype=np.intp)
-    var_of = np.array([var_index[v] for v in series.variables], dtype=np.intp)
+    row_of = np.array([pid_index.get(pid, -1) for pid in patients], dtype=np.intp)
+    var_of = np.array([var_index[name] for name in names], dtype=np.intp)
     values = series_array(N, D, T)
-    cell = row_of[series.p]  # (row * D + variable) * T + hour - 1 of each cell
+    cell = row_of[pcode]  # (row * D + variable) * T + hour - 1 of each cell
     cell *= D
-    cell += var_of[series.v]
+    cell += var_of[vcode]
     cell *= T
-    cell += series.hour
+    cell += hour
     cell -= 1
-    kept = slice(None) if (row_of >= 0).all() else (row_of >= 0)[series.p]
-    values.reshape(-1)[cell[kept]] = series.value[kept]
+    kept = slice(None) if (row_of >= 0).all() else (row_of >= 0)[pcode]
+    values.reshape(-1)[cell[kept]] = value[kept]
 
     S = np.empty((N, len(static_names)))
     for pid, n in pid_index.items():

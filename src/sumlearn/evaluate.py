@@ -88,8 +88,8 @@ class KeyFeatureRow:
 def _window_from_C(c, T):
     """(first hour, T) of the hard window 1(t > T - C), in the kernel's
     arithmetic: the first hour is T - ceil(C) + 1, clamped to [1, T].
-    (None, None) when C <= 0 leaves the window without an hour."""
-    if c <= 0:
+    (None, None) when hour T is not in it (C <= 0, or T - C rounds to T)."""
+    if not T - c < T:
         return None, None
     start = min(T, max(1, int(np.floor(T - c)) + 1))
     return start, T
@@ -133,15 +133,14 @@ def _cell(value):
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
+def _tsv(lines):  # the TSV format of both tables
+    return "".join("\t".join(cells) + "\n" for cells in lines)
+
+
 def report_tsv(rows):
     names = [f.name for f in fields(KeyFeatureRow)]
-    lines = ["\t".join(names)]
-    lines += ["\t".join(_cell(getattr(r, name)) for name in names) for r in rows]
-    return "\n".join(lines) + "\n"
+    return _tsv([names] + [[_cell(getattr(r, name)) for name in names] for r in rows])
 
 
 def ablation_tsv(pairs):
-    lines = ["n\ttest_auc"]
-    for n, value in pairs:
-        lines.append(f"{n}\t{value:.6f}")
-    return "\n".join(lines) + "\n"
+    return _tsv([["n", "test_auc"]] + [[str(n), f"{value:.6f}"] for n, value in pairs])

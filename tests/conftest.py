@@ -6,7 +6,7 @@ import pytest
 
 import sumlearn.summaries
 from sumlearn.data import (SERIES_HEADER, ClinicalBatch, _Coder, _codes, _names,
-                           _read_rows, _Series)
+                           _read_rows)
 from sumlearn.errors import ConflictError, ParseError, RangeError, SchemaError
 from sumlearn.summaries import (
     EVER_MEASURED,
@@ -111,9 +111,9 @@ def read_series_rows(path, T, fixed):
         values.append(value)
     pids, variables, hours = zip(*line_of) if line_of else ((), (), ())
     code_of = (_Coder(), _Coder())
-    return _Series(*_names(code_of[0], _codes(pids, code_of[0])),
-                   *_names(code_of[1], _codes(variables, code_of[1])),
-                   np.array(hours, dtype=np.int64), np.array(values, dtype=float))
+    return (*_names(code_of[0], _codes(pids, code_of[0])),
+            *_names(code_of[1], _codes(variables, code_of[1])),
+            np.array(hours, dtype=np.int64), np.array(values, dtype=float))
 
 
 def random_batch(rng, n=8, d=3, t=12, p_obs=0.8):

@@ -6,6 +6,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,22 @@ class TestExitCodes:
         ])
         assert_fails(capsys, code, 3, "non-finite train loss at epoch 1; training stopped")
         assert not (tmp_path / "seed_0" / "model.ckpt").exists()
+
+    def test_numerical_failure_is_one_stderr_line(self, tmp_path, capsys):
+        # a learning rate of 1e306 overflows the logits and the penalty; the
+        # typed check reports it, and no numpy warning reaches the user
+        cohort, run = str(tmp_path / "cohort"), str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["synth", "--out", cohort, "--n", "200", "--d", "3",
+                         "--t", "8", "--seed", "0"]) == 0
+            capsys.readouterr()
+            code = main(["train", "--cohort-dir", cohort, "--out", run, "--t", "8",
+                         "--seeds", "0", "--epochs", "4", "--eval-interval", "2",
+                         "--batch-size", "64", "--lr", "1e306"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite loss (design matrix finite)\n")
 
     def test_gradcheck_passes_with_0(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0

@@ -267,15 +267,14 @@ def ingest_outcome(paths, T, variables=None, reference=False):
 
 
 def series_outcome(read, path, T, variables=None):
-    """The _Series that ``read`` gives as comparable values (each array's
+    """The columns that ``read`` gives as comparable values (each array's
     dtype and bytes), or the type and message of its error."""
     try:
-        series = read(path, T, variables)
+        patients, p, names, v, hour, value = read(path, T, variables)
     except SumlearnError as exc:
         return type(exc), str(exc)
-    return (series.patients, series.variables,
-            [(a.dtype.str, a.tobytes())
-             for a in (series.p, series.v, series.hour, series.value)])
+    return (patients, names,
+            [(a.dtype.str, a.tobytes()) for a in (p, v, hour, value)])
 
 
 @contextlib.contextmanager
@@ -346,7 +345,7 @@ EDGE_PARAMETERS = pytest.mark.parametrize(
 
 
 def reads_as_the_reference(directory, series, patients, variables):
-    """The chunked reader gives the row reference's _Series or error, without
+    """The chunked reader gives the row reference's columns or error, without
     a warning, and ingest_csv the same outcome either way."""
     paths = write_files(directory, cohort_files(series, *patients))
     with warnings.catch_warnings(record=True) as caught:

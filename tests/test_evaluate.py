@@ -163,13 +163,18 @@ class TestReport:
             first = int(np.flatnonzero(hard[d, i] == 1.0)[0]) + 1
             assert _window_from_C(sp.C[d, i], T) == (first, T)
 
-    @pytest.mark.parametrize("T", [1, 12, 48])
-    def test_empty_window_reports_no_hours(self, T):
-        # training clips C into [0, T]; at C = 0 the window 1(t > T) is empty
+    # the ids of C = 0 are T alone
+    @pytest.mark.parametrize("T, c", [
+        pytest.param(T, c, id=name.format(T)) for T in (1, 12, 48)
+        for name, c in (("{}", 0.0), ("{}-1e-20", 1e-20),
+                        ("{}-spacing_8", np.spacing(float(T)) / 8))])
+    def test_empty_window_reports_no_hours(self, T, c):
+        # training clips C into [0, T]; at C = 0 the window 1(t > T) is empty,
+        # and so it is at a C > 0 so small that T - C rounds to T
         sp = full_window_params(3, t=T)
-        sp.C[:] = 0.0
+        sp.C[:] = c
         assert window_weights(sp, T, "hard").sum() == 0.0
-        assert _window_from_C(0.0, T) == (None, None)
+        assert _window_from_C(c, T) == (None, None)
 
     def test_empty_window_row_has_blank_hours(self, rng):
         batch = random_batch(rng, n=20)
